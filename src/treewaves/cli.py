@@ -118,7 +118,7 @@ def _meta_lines(args, extra: dict | None = None) -> list[str]:
     return [f"# {k}={_fmt(v)}" for k, v in meta.items()]
 
 
-def _csv_text(args, extra_meta: dict, header: list[str], rows: list[list]) -> str:
+def _csv_text(args, extra_meta: dict, header: list[str], rows: list[Sequence]) -> str:
     lines = _meta_lines(args, extra_meta)
     lines.append(",".join(header))
     for row in rows:
@@ -170,10 +170,8 @@ def _cmd_sample_ball(args) -> int:
     rng = _rng(args)
     draw = sample_ball_dense if args.sampler == "dense" else sample_ball_recursive
     sample = draw(profile, args.radius, rng)
-    rows = [
-        [v.to_string(), v.depth, float(sample.values[i])]
-        for i, v in enumerate(sample.ball.vertices)
-    ]
+    ball = sample.ball
+    rows = list(zip(ball.addresses(), ball.depth.tolist(), sample.values.tolist()))
     text = _csv_text(args, {"sampler": sample.sampler, "radius": args.radius},
                      ["vertex", "depth", "value"], rows)
     _emit(text, args.out)
@@ -434,7 +432,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_survival)
 
     p = subs.add_parser("rate", help="decay-rate curve r(alpha) as CSV")
-    _add_common(p)
+    _add_common(p, seed=False)
     p.add_argument("--alphas", default=None, help="comma list of levels")
     p.add_argument("--alpha-min", type=float, default=-1.0)
     p.add_argument("--alpha-max", type=float, default=2.0)
@@ -444,14 +442,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_rate)
 
     p = subs.add_parser("threshold", help="critical level alpha_c as JSON")
-    _add_common(p)
+    _add_common(p, seed=False)
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--m", type=int, default=64)
     p.add_argument("--u-max-offset", type=float, default=8.0)
     p.set_defaults(func=_cmd_threshold)
 
     p = subs.add_parser("bounds", help="rigorous threshold bracket as JSON")
-    _add_common(p)
+    _add_common(p, seed=False)
     p.set_defaults(func=_cmd_bounds)
 
     return parser

@@ -220,9 +220,11 @@ def orthant_edge_probability(rho: float, alpha: float) -> float:
         return math.exp(-0.5 * x * x) / _SQRT_2PI * float(_norm_q((alpha - rho * x) / s))
 
     # For |rho| near 1 the inner factor switches on a short scale around
-    # x = alpha / rho; splitting there keeps the adaptive rule honest.
+    # x = alpha / rho; splitting there keeps the adaptive rule honest.  Past
+    # max(alpha, 0) + 40, pdf(x) underflows to zero, so a split there (tiny
+    # |rho|) would only hide the mass inside a huge first piece.
     pieces = [alpha, math.inf]
-    if rho != 0.0 and alpha / rho > alpha:
+    if rho != 0.0 and alpha < alpha / rho < max(alpha, 0.0) + 40.0:
         pieces = [alpha, alpha / rho, math.inf]
     total = 0.0
     for lo, hi in zip(pieces[:-1], pieces[1:]):

@@ -27,7 +27,7 @@ from scipy.optimize import brentq
 
 from .errors import NumericalError, ValidationError
 from .gaussian import orthant_edge_probability
-from .sampler import BallSample, _sample_path_many, path_step_kernel
+from .sampler import BallSample, path_step_kernel, sample_path_many
 from .spectral import CovarianceProfile
 
 # Power iteration control for the transfer operator.
@@ -58,54 +58,32 @@ class ComponentSummary:
     root_reach: int  # -1 when the root misses the level set
 
 
-class _UnionFind:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
-            return
-        if self.size[ri] < self.size[rj]:
-            ri, rj = rj, ri
-        self.parent[rj] = ri
-        self.size[ri] += self.size[rj]
-
-
 def extract_components(sample: BallSample, alpha: float) -> ComponentSummary:
     """Connected components of {value > alpha} within the sampled ball."""
     if not math.isfinite(alpha):
         raise ValidationError(f"alpha must be finite, got {alpha!r}")
     ball = sample.ball
     above = sample.values > alpha
-    uf = _UnionFind(len(ball))
-    for i, j in ball.edges():
-        if above[i] and above[j]:
-            uf.union(i, j)
-    members: dict[int, list[int]] = {}
-    for i in range(len(ball)):
-        if above[i]:
-            members.setdefault(uf.find(i), []).append(i)
-    comps = []
-    for idxs in members.values():
-        depths = [ball.vertices[i].depth for i in idxs]
-        comps.append(
-            Component(
-                size=len(idxs),
-                reach=max(depths),
-                touches_boundary=max(depths) == ball.radius,
-                contains_root=0 in idxs,
-            )
+    # Label every vertex by the top (shallowest) vertex of its cluster: a
+    # vertex joins its parent's cluster when both lie above the level.
+    top = np.arange(len(ball))
+    for k in range(1, ball.radius + 1):
+        sl = ball.sphere_slice(k)
+        par = ball.parent[sl]
+        top[sl] = np.where(above[sl] & above[par], top[par], top[sl])
+    # Ascending tops list clusters by their smallest BFS index.
+    tops, inv, sizes = np.unique(top[above], return_inverse=True, return_counts=True)
+    reach = np.zeros(tops.size, dtype=np.int64)
+    np.maximum.at(reach, inv, ball.depth[above])
+    comps = [
+        Component(
+            size=int(n),
+            reach=int(h),
+            touches_boundary=bool(h == ball.radius),
+            contains_root=bool(t == 0),
         )
+        for t, n, h in zip(tops, sizes, reach)
+    ]
     comps.sort(key=lambda c: (-c.size, c.reach, not c.contains_root))
     root_comp = next((c for c in comps if c.contains_root), None)
     return ComponentSummary(
@@ -148,7 +126,7 @@ def survival_direct(
     chunk = max(1, (1 << 22) // max(n, 1))
     while remaining > 0:
         m = min(chunk, remaining)
-        vals = _sample_path_many(profile, n, m, rng)
+        vals = sample_path_many(profile, n, m, rng)
         survivors += int(np.count_nonzero(np.all(vals > alpha, axis=1)))
         remaining -= m
     p = survivors / reps

@@ -7,8 +7,8 @@ Two routes produce a ball sample:
 * recursive: draw the root, then the first shell given the root, then each
   family of children given (vertex, parent).  The order-2 Markov property of
   the process along geodesics makes these local conditionals exact, and the
-  per-family residual blocks are identical across a shell, so they are
-  factored once per depth.
+  per-family residual blocks are identical across the ball, so they are
+  factored once and every family of a shell is drawn in one step.
 
 Both routes sample the same law; the recursive one satisfies the local wave
 identities by construction and scales linearly in the ball size.
@@ -28,7 +28,7 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .gaussian import PsdFactor, assemble_covariance, factor_psd
 from .spectral import CovarianceProfile
-from .tree import Ball, ball_vertex_count, enumerate_ball
+from .tree import Ball, enumerate_ball
 
 # |phi(1)| = |lambda|/d <= 2 sqrt(d-1)/d < 1 for d >= 3; reaching 1 would make
 # the step kernel degenerate and signals corrupted inputs.
@@ -93,14 +93,14 @@ def path_step_kernel(profile: CovarianceProfile) -> StepKernel:
     return StepKernel(b1=b1, b2=b2, sigma2=sigma2)
 
 
-def _sample_path_many(
+def sample_path_many(
     profile: CovarianceProfile, n: int, reps: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """reps independent path realizations, shape (reps, n)."""
+    """reps independent path draws stacked as a (reps, n) matrix."""
     if n < 1:
         raise ValidationError(f"path length must be >= 1, got {n}")
-    if reps < 0:
-        raise ValidationError(f"reps must be >= 0, got {reps}")
+    if reps < 1:
+        raise ValidationError(f"reps must be >= 1, got {reps}")
     out = np.empty((reps, n))
     out[:, 0] = rng.standard_normal(reps)
     if n >= 2:
@@ -120,34 +120,8 @@ def _sample_path_many(
 
 def sample_path(profile: CovarianceProfile, n: int, rng: np.random.Generator) -> PathSample:
     """One exact draw of the process along a geodesic of n vertices."""
-    values = _sample_path_many(profile, n, 1, rng)[0]
+    values = sample_path_many(profile, n, 1, rng)[0]
     return PathSample(profile=profile, n=n, values=values)
-
-
-def sample_path_many(
-    profile: CovarianceProfile, n: int, reps: int, rng: np.random.Generator
-) -> np.ndarray:
-    """reps independent path draws stacked as a (reps, n) matrix."""
-    if reps < 1:
-        raise ValidationError(f"reps must be >= 1, got {reps}")
-    return _sample_path_many(profile, n, reps, rng)
-
-
-def _sample_ball_dense_many(
-    profile: CovarianceProfile, r: int, rng: np.random.Generator, reps: int
-) -> tuple[Ball, np.ndarray]:
-    ball = enumerate_ball(profile.point.d, r)
-    cov = assemble_covariance(profile, ball.vertices)
-    fac = factor_psd(cov)
-    return ball, fac.draw(rng, reps)
-
-
-def sample_ball_dense(
-    profile: CovarianceProfile, r: int, rng: np.random.Generator
-) -> BallSample:
-    """Draw on the radius-r ball through the full covariance factorization."""
-    ball, values = _sample_ball_dense_many(profile, r, rng, 1)
-    return BallSample(profile=profile, ball=ball, values=values[0], sampler="dense")
 
 
 def sample_ball_dense_many(
@@ -156,7 +130,17 @@ def sample_ball_dense_many(
     """reps independent dense ball draws stacked as a (reps, ball size) matrix."""
     if reps < 1:
         raise ValidationError(f"reps must be >= 1, got {reps}")
-    return _sample_ball_dense_many(profile, r, rng, reps)
+    ball = enumerate_ball(profile.point.d, r)
+    cov = assemble_covariance(profile, ball.vertices)
+    return ball, factor_psd(cov).draw(rng, reps)
+
+
+def sample_ball_dense(
+    profile: CovarianceProfile, r: int, rng: np.random.Generator
+) -> BallSample:
+    """Draw on the radius-r ball through the full covariance factorization."""
+    ball, values = sample_ball_dense_many(profile, r, 1, rng)
+    return BallSample(profile=profile, ball=ball, values=values[0], sampler="dense")
 
 
 @dataclass(frozen=True)
@@ -200,9 +184,12 @@ def _recursive_blocks(profile: CovarianceProfile) -> _RecursiveBlocks:
     )
 
 
-def _sample_ball_recursive_many(
-    profile: CovarianceProfile, r: int, rng: np.random.Generator, reps: int
+def sample_ball_recursive_many(
+    profile: CovarianceProfile, r: int, reps: int, rng: np.random.Generator
 ) -> tuple[Ball, np.ndarray]:
+    """reps independent recursive ball draws stacked as a (reps, ball size) matrix."""
+    if reps < 1:
+        raise ValidationError(f"reps must be >= 1, got {reps}")
     d = profile.point.d
     ball = enumerate_ball(d, r)
     values = np.empty((reps, len(ball)))
@@ -215,17 +202,17 @@ def _sample_ball_recursive_many(
         blocks.shell_mean_coeff * values[:, [0]] + blocks.shell_factor.draw(rng, reps)
     )
     for depth in range(1, r):
-        start = 0 if depth == 0 else ball_vertex_count(d, depth - 1)
-        stop = ball_vertex_count(d, depth)
-        for i in range(start, stop):
-            v = ball.vertices[i]
-            p = ball.index[v.parent()]
-            kids = ball.children_indices(i)
-            mean = (
-                blocks.child_coeff_parent * values[:, [p]]
-                + blocks.child_coeff_vertex * values[:, [i]]
-            )
-            values[:, kids] = mean + blocks.child_factor.draw(rng, reps)
+        cur = ball.sphere_slice(depth)
+        n_k = cur.stop - cur.start
+        mean = (
+            blocks.child_coeff_parent * values[:, ball.parent[cur]]
+            + blocks.child_coeff_vertex * values[:, cur]
+        )
+        # Family-major draw: family i takes the i-th block of reps rows, the
+        # same normals as one draw per family in BFS order.
+        noise = blocks.child_factor.draw(rng, n_k * reps).reshape(n_k, reps, d - 1)
+        kids = mean[:, :, None] + noise.swapaxes(0, 1)
+        values[:, ball.sphere_slice(depth + 1)] = kids.reshape(reps, n_k * (d - 1))
     return ball, values
 
 
@@ -233,17 +220,8 @@ def sample_ball_recursive(
     profile: CovarianceProfile, r: int, rng: np.random.Generator
 ) -> BallSample:
     """Draw on the radius-r ball shell by shell through local conditionals."""
-    ball, values = _sample_ball_recursive_many(profile, r, rng, 1)
+    ball, values = sample_ball_recursive_many(profile, r, 1, rng)
     return BallSample(profile=profile, ball=ball, values=values[0], sampler="recursive")
-
-
-def sample_ball_recursive_many(
-    profile: CovarianceProfile, r: int, reps: int, rng: np.random.Generator
-) -> tuple[Ball, np.ndarray]:
-    """reps independent recursive ball draws stacked as a (reps, ball size) matrix."""
-    if reps < 1:
-        raise ValidationError(f"reps must be >= 1, got {reps}")
-    return _sample_ball_recursive_many(profile, r, rng, reps)
 
 
 def verify_sphere_sums(sample: BallSample) -> float:
@@ -270,17 +248,14 @@ def verify_eigen_residual(sample: BallSample) -> float:
     lambda * value(v) must equal the sum of the neighbor values.
     """
     ball = sample.ball
-    lam = sample.profile.point.lam
-    worst = 0.0
-    for i in ball.interior_indices():
-        v = ball.vertices[i]
-        total = 0.0
-        if v.depth > 0:
-            total += float(sample.values[ball.index[v.parent()]])
-        for j in ball.children_indices(i):
-            total += float(sample.values[j])
-        worst = max(worst, abs(lam * float(sample.values[i]) - total))
-    return worst
+    vals = sample.values
+    n_int = len(ball.interior_indices())
+    if n_int == 0:
+        return 0.0
+    # Every parent is interior, so the child sums fill exactly n_int slots.
+    around = np.bincount(ball.parent[1:], weights=vals[1:], minlength=n_int)
+    around[1:] += vals[ball.parent[1:n_int]]
+    return float(np.abs(sample.profile.point.lam * vals[:n_int] - around).max())
 
 
 def sample_scale(sample: BallSample) -> float:

@@ -97,21 +97,24 @@ def ball_vertex_count(d: int, r: int) -> int:
     return 1 + d * ((d - 1) ** r - 1) // (d - 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ball:
     """Breadth-first enumeration of the radius-r ball around the root.
 
     Vertices are ordered by depth, lexicographically within each depth, so the
-    sphere of radius k occupies one contiguous slice of `vertices`.
+    sphere of radius k occupies one contiguous slice, and the d - 1 (d at the
+    root) children of one vertex are consecutive.  The ball is stored as two
+    read-only integer arrays over that order: `parent` (BFS index of each
+    vertex's parent, -1 at the root) and `depth`.
     """
 
     d: int
     radius: int
-    vertices: tuple[VertexId, ...]
-    index: dict[VertexId, int] = field(repr=False)
+    parent: np.ndarray = field(repr=False)
+    depth: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
-        return len(self.vertices)
+        return self.parent.size
 
     def sphere_slice(self, k: int) -> slice:
         """Positions of the radius-k sphere within the BFS order."""
@@ -120,27 +123,24 @@ class Ball:
         start = 0 if k == 0 else ball_vertex_count(self.d, k - 1)
         return slice(start, ball_vertex_count(self.d, k))
 
-    def interior_indices(self) -> list[int]:
+    def interior_indices(self) -> range:
         """Indices of vertices whose whole neighborhood lies inside the ball."""
-        if self.radius == 0:
-            return []
-        return list(range(ball_vertex_count(self.d, self.radius - 1)))
+        return range(self.sphere_slice(self.radius).start)
 
-    def edges(self) -> list[tuple[int, int]]:
-        """Index pairs (parent, child) of the tree edges inside the ball."""
-        out = []
-        for i, v in enumerate(self.vertices):
-            if v.depth > 0:
-                out.append((self.index[v.parent()], i))
+    def addresses(self) -> list[str]:
+        """Slash-joined address of every vertex, in BFS order."""
+        labels = [str(i) for i in range(self.d)]
+        shell = labels if self.radius > 0 else []
+        out = [""] + shell
+        for _ in range(1, self.radius):
+            shell = [f"{a}/{c}" for a in shell for c in labels[:-1]]
+            out.extend(shell)
         return out
 
-    def children_indices(self, i: int) -> list[int]:
-        """Indices of the children of vertex i that lie inside the ball."""
-        v = self.vertices[i]
-        if v.depth >= self.radius:
-            return []
-        fan = self.d if v.depth == 0 else self.d - 1
-        return [self.index[v.child(c)] for c in range(fan)]
+    @property
+    def vertices(self) -> tuple[VertexId, ...]:
+        """VertexId of every vertex in BFS order, built on each access."""
+        return tuple(VertexId.from_string(self.d, a) for a in self.addresses())
 
 
 def enumerate_ball(d: int, r: int, max_vertices: int = DEFAULT_VERTEX_BUDGET) -> Ball:
@@ -155,19 +155,20 @@ def enumerate_ball(d: int, r: int, max_vertices: int = DEFAULT_VERTEX_BUDGET) ->
             f"ball of radius {r} at d={d} holds {count} vertices, "
             f"over the budget of {max_vertices}"
         )
-    root = VertexId(d, ())
-    verts: list[VertexId] = [root]
-    frontier = [root]
-    for depth in range(r):
-        fan = d if depth == 0 else d - 1
-        nxt: list[VertexId] = []
-        for v in frontier:
-            for i in range(fan):
-                nxt.append(v.child(i))
-        verts.extend(nxt)
-        frontier = nxt
-    index = {v: i for i, v in enumerate(verts)}
-    return Ball(d=d, radius=r, vertices=tuple(verts), index=index)
+    sizes = [sphere_size(d, k) for k in range(r + 1)]
+    starts = np.cumsum([0] + sizes)
+    # Shell k repeats each shell-(k-1) index once per child.
+    parent = np.concatenate(
+        [np.array([-1])]
+        + [
+            np.repeat(np.arange(starts[k - 1], starts[k]), d if k == 1 else d - 1)
+            for k in range(1, r + 1)
+        ]
+    )
+    depth = np.repeat(np.arange(r + 1), sizes)
+    parent.flags.writeable = False
+    depth.flags.writeable = False
+    return Ball(d=d, radius=r, parent=parent, depth=depth)
 
 
 def canonical_path(d: int, n: int) -> list[VertexId]:
@@ -181,12 +182,25 @@ def canonical_path(d: int, n: int) -> list[VertexId]:
 
 
 def pairwise_distances(vertices: list[VertexId] | tuple[VertexId, ...]) -> np.ndarray:
-    """Symmetric integer matrix of pairwise graph distances."""
+    """Symmetric integer matrix of pairwise graph distances.
+
+    Depths minus twice the shared address prefix, found by comparing one
+    address position at a time across all pairs.
+    """
     m = len(vertices)
-    out = np.zeros((m, m), dtype=np.int64)
-    for i in range(m):
-        for j in range(i + 1, m):
-            dist = distance(vertices[i], vertices[j])
-            out[i, j] = dist
-            out[j, i] = dist
-    return out
+    if len({v.d for v in vertices}) > 1:
+        raise ValidationError("vertices from different trees")
+    depth = np.array([v.depth for v in vertices], dtype=np.int64)
+    width = int(depth.max(initial=0))
+    # Addresses padded with -1; a padded position is never a shared step.
+    addr = np.array(
+        [v.address + (-1,) * (width - v.depth) for v in vertices], dtype=np.int64
+    ).reshape(m, width)
+    shared = np.zeros((m, m), dtype=np.int64)
+    same = np.ones((m, m), dtype=bool)
+    for k in range(width):
+        col = addr[:, k]
+        same &= col[:, None] == col[None, :]
+        same &= (col >= 0)[:, None]
+        shared += same
+    return depth[:, None] + depth[None, :] - 2 * shared

@@ -53,6 +53,18 @@ def test_exit_codes(tmp_path, monkeypatch):
     assert run(["threshold", "--d", "3", "--lambda", "0"]) == 1
 
 
+def test_deterministic_commands_take_no_seed(tmp_path):
+    for argv in (
+        ["bounds", "--d", "3", "--lambda", "0"],
+        ["threshold", "--d", "3", "--lambda", "0", "--tol", "1e-2", "--m", "16"],
+        ["rate", "--d", "3", "--lambda", "0", "--alphas=0", "--m", "16"],
+    ):
+        assert run(argv + ["--seed", "1"]) == 2
+        out = tmp_path / "o"
+        assert run(argv + ["--out", str(out)]) == 0
+        assert "seed" in out.read_text()  # metadata still records the default 0
+
+
 def test_reruns_byte_identical(tmp_path):
     for argv in (
         ["profile", "--d", "5", "--lambda", "-2.0", "--n", "12"],

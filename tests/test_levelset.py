@@ -50,6 +50,66 @@ def test_extract_components_threshold_strict():
     assert tw.extract_components(_fabricated_sample(vals), -0.1).root_size == 10
 
 
+def _reference_components(sample, alpha):
+    """Flood fill over VertexId.parent() links, clusters in BFS order of their
+    first vertex, as (size, reach, touches_boundary, contains_root)."""
+    verts = sample.ball.vertices
+    index = {v: i for i, v in enumerate(verts)}
+    above = [x > alpha for x in sample.values]
+    nbrs = {i: [] for i in range(len(verts))}
+    for i, v in enumerate(verts[1:], start=1):
+        p = index[v.parent()]
+        if above[i] and above[p]:
+            nbrs[i].append(p)
+            nbrs[p].append(i)
+    seen, out = set(), []
+    for i in range(len(verts)):
+        if not above[i] or i in seen:
+            continue
+        stack, members = [i], []
+        seen.add(i)
+        while stack:
+            j = stack.pop()
+            members.append(j)
+            for k in nbrs[j]:
+                if k not in seen:
+                    seen.add(k)
+                    stack.append(k)
+        reach = max(verts[j].depth for j in members)
+        out.append((len(members), reach, reach == sample.ball.radius, 0 in members))
+    return out
+
+
+def test_extract_components_matches_flood_fill():
+    rng = np.random.default_rng(41)
+    for d, lam, r in ((3, 0.5, 6), (4, -1.0, 5), (3, 2.7, 7)):
+        prof = _profile(d, lam, 2 * r)
+        for _ in range(3):
+            s = tw.sample_ball_recursive(prof, r, rng)
+            for alpha in (-1.0, -0.3, 0.0, 0.4, 1.2):
+                cs = tw.extract_components(s, alpha)
+                ref = _reference_components(s, alpha)
+                ref.sort(key=lambda c: (-c[0], c[1], not c[3]))
+                got = [(c.size, c.reach, c.touches_boundary, c.contains_root)
+                       for c in cs.components]
+                assert got == ref
+                root = next((c for c in ref if c[3]), (0, -1))
+                assert (cs.root_size, cs.root_reach) == root[:2]
+
+
+def test_haggstrom_alpha_just_below_zero_lambda():
+    # tiny negative phi(1) once placed the quadrature split far past the mass
+    assert tw.orthant_edge_probability(-9.4e-4, -12.0) == pytest.approx(1.0, abs=1e-12)
+    cases = [(d, f) for d in (3, 4, 5) for f in (-0.001, -0.002, -0.004)]
+    cases += [(8, -0.005)] + [(16, f) for f in (-0.008, -0.007, -0.004, -0.002, -0.001)]
+    for d, f in cases:
+        prof = _profile(d, f * tw.spectral_edge(d))
+        h = tw.haggstrom_alpha(prof)
+        assert tw.orthant_edge_probability(prof.phi[1], h) == pytest.approx(2.0 / d, abs=1e-10)
+        h0 = tw.haggstrom_alpha(_profile(d, 0.0))
+        assert h0 - 0.01 < h < h0  # continuous, and lower for more negative lambda
+
+
 def test_survival_direct_matches_tail_probability():
     prof = _profile()
     est = tw.survival_direct(prof, 1, 0.6, 200_000, np.random.default_rng(8))

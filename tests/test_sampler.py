@@ -92,18 +92,69 @@ def test_ball_radius_zero():
     prof = _profile(3, 1.0, 2)
     s = tw.sample_ball_recursive(prof, 0, np.random.default_rng(5))
     assert s.values.shape == (1,)
+    assert tw.verify_eigen_residual(s) == 0.0
 
 
 def test_recursive_matches_dense_covariance():
-    # moderate-replicate version of the distribution-equality check
-    prof = _profile(3, 1.0, 4)
+    # moderate-replicate version of the distribution-equality check; the
+    # d=4, r=3 case runs the per-shell child draw over two shells
     reps = 50_000
-    ball, dv = tw.sample_ball_dense_many(prof, 2, reps, np.random.default_rng(11))
-    _, rv = tw.sample_ball_recursive_many(prof, 2, reps, np.random.default_rng(12))
-    cov = tw.assemble_covariance(prof, ball.vertices)
-    for emp in (dv.T @ dv / reps, rv.T @ rv / reps):
-        z = (emp - cov) / np.sqrt((1.0 + cov**2) / reps)
-        assert np.abs(z).max() <= 4.5
+    for d, lam, r in ((3, 1.0, 2), (4, -1.2, 3)):
+        prof = _profile(d, lam, 2 * r)
+        ball, dv = tw.sample_ball_dense_many(prof, r, reps, np.random.default_rng(11))
+        _, rv = tw.sample_ball_recursive_many(prof, r, reps, np.random.default_rng(12))
+        cov = tw.assemble_covariance(prof, ball.vertices)
+        for emp in (dv.T @ dv / reps, rv.T @ rv / reps):
+            z = (emp - cov) / np.sqrt((1.0 + cov**2) / reps)
+            assert np.abs(z).max() <= 4.5
+
+
+def _recursive_reference(prof, r, reps, rng):
+    """The recursive sampler drawn one family at a time over VertexId lookups."""
+    d = prof.point.d
+    verts = tw.enumerate_ball(d, r).vertices
+    index = {v: i for i, v in enumerate(verts)}
+    blocks = tw.sampler._recursive_blocks(prof)
+    vals = np.empty((reps, len(verts)))
+    vals[:, 0] = rng.standard_normal(reps)
+    vals[:, 1 : d + 1] = blocks.shell_mean_coeff * vals[:, [0]] + blocks.shell_factor.draw(rng, reps)
+    for i, v in enumerate(verts):
+        if 1 <= v.depth < r:
+            kids = [index[v.child(c)] for c in range(d - 1)]
+            mean = (
+                blocks.child_coeff_parent * vals[:, [index[v.parent()]]]
+                + blocks.child_coeff_vertex * vals[:, [i]]
+            )
+            vals[:, kids] = mean + blocks.child_factor.draw(rng, reps)
+    return vals
+
+
+def test_recursive_matches_per_family_reference():
+    # same normals per family as a family-by-family draw; only rounding differs
+    for d, lam, r, reps in ((3, 1.0, 4, 3), (4, -0.8, 3, 1), (5, 2.5, 2, 2)):
+        prof = _profile(d, lam, 2 * r)
+        _, got = tw.sample_ball_recursive_many(prof, r, reps, np.random.default_rng(31))
+        ref = _recursive_reference(prof, r, reps, np.random.default_rng(31))
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
+
+
+def test_eigen_residual_matches_vertex_loop():
+    # on values that are not a wave the residual is the loop's worst vertex
+    for d, r in ((3, 3), (4, 2), (3, 1)):
+        prof = _profile(d, 0.9, 4)
+        ball = tw.enumerate_ball(d, r)
+        vals = np.random.default_rng(d + r).standard_normal(len(ball))
+        verts = ball.vertices
+        index = {v: i for i, v in enumerate(verts)}
+        worst = 0.0
+        for i, v in enumerate(verts):
+            if v.depth < r:
+                nbrs = [index[v.child(c)] for c in range(d if i == 0 else d - 1)]
+                if i > 0:
+                    nbrs.append(index[v.parent()])
+                worst = max(worst, abs(0.9 * vals[i] - vals[nbrs].sum()))
+        s = tw.BallSample(profile=prof, ball=ball, values=vals, sampler="dense")
+        assert tw.verify_eigen_residual(s) == pytest.approx(worst, rel=1e-12)
 
 
 def test_empirical_means_are_centered():

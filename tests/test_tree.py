@@ -62,16 +62,34 @@ def test_enumerate_ball_structure():
             sl = ball.sphere_slice(k)
             assert sl.stop - sl.start == tw.sphere_size(d, k)
             assert all(v.depth == k for v in ball.vertices[sl])
-        edges = ball.edges()
-        assert len(edges) == len(ball) - 1  # spanning tree
-        for pi, ci in edges:
-            assert tw.distance(ball.vertices[pi], ball.vertices[ci]) == 1
-            assert ball.vertices[ci].parent() == ball.vertices[pi]
+        verts = ball.vertices
+        assert ball.parent[0] == -1
+        assert len(ball.parent) == len(ball.depth) == len(ball)
+        for ci in range(1, len(ball)):
+            pi = ball.parent[ci]
+            assert tw.distance(verts[pi], verts[ci]) == 1
+            assert verts[ci].parent() == verts[pi]
+            assert ball.depth[ci] == verts[ci].depth
         interior = ball.interior_indices()
-        assert len(interior) == tw.ball_vertex_count(d, r - 1)
-        for i in interior:
-            kids = ball.children_indices(i)
-            assert len(kids) == (d if i == 0 else d - 1)
+        assert interior == range(tw.ball_vertex_count(d, r - 1))
+        fans = np.bincount(ball.parent[1:], minlength=len(interior))
+        assert len(fans) == len(interior)  # only interior vertices have children
+        assert fans[0] == d
+        assert (fans[1:] == d - 1).all()
+        addrs = ball.addresses()
+        assert len(addrs) == len(ball)
+        for text, v, depth in zip(addrs, verts, ball.depth):
+            u = tw.VertexId.from_string(d, text)
+            assert u == v and u.depth == depth and u.to_string() == text
+
+
+def test_ball_radius_zero_structure():
+    ball = tw.enumerate_ball(3, 0)
+    assert len(ball) == 1
+    assert ball.addresses() == [""]
+    assert ball.interior_indices() == range(0)
+    assert ball.parent.tolist() == [-1] and ball.depth.tolist() == [0]
+    assert not ball.parent.flags.writeable and not ball.depth.flags.writeable
 
 
 def test_enumerate_ball_budget():
@@ -95,3 +113,12 @@ def test_pairwise_distances():
     np.testing.assert_array_equal(dist, dist.T)
     np.testing.assert_array_equal(np.diag(dist), np.zeros(10, dtype=int))
     assert dist.max() == 4  # two leaves in different branches
+    # against the pairwise `distance` on a deeper ball and an unordered subset
+    verts = tw.enumerate_ball(4, 3).vertices
+    subset = [verts[i] for i in (40, 0, 7, 52, 3, 19, 19)]
+    for vs in (verts, subset):
+        ref = [[tw.distance(u, v) for v in vs] for u in vs]
+        np.testing.assert_array_equal(tw.pairwise_distances(vs), ref)
+    assert tw.pairwise_distances([]).shape == (0, 0)
+    with pytest.raises(ValidationError):
+        tw.pairwise_distances([tw.VertexId(3, ()), tw.VertexId(4, ())])
