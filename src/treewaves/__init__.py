@@ -9,7 +9,6 @@ above a level, and estimation of the level-set percolation threshold.
 __version__ = "0.1.0"
 
 from .conditioned import (
-    ConditionedPathState,
     GibbsPlan,
     RepulsionTail,
     TailPoint,
@@ -28,6 +27,7 @@ from .gaussian import (
     factor_psd,
     orthant_edge_probability,
     sample_truncated,
+    truncated_standard,
 )
 from .levelset import (
     Component,

@@ -25,9 +25,9 @@ from . import __version__
 from .conditioned import (
     DEFAULT_BURNIN,
     DEFAULT_THIN,
-    _gibbs_run_matrix,
-    batch_means_ess,
     build_gibbs_plan,
+    gibbs_run,
+    repulsion_tail,
 )
 from .errors import ValidationError
 from .levelset import (
@@ -233,24 +233,18 @@ def _cmd_gibbs(args) -> int:
     profile = build_profile(_point(args), 4)
     plan = build_gibbs_plan(profile, args.n)
     rng = _rng(args)
-    mat = _gibbs_run_matrix(
+    states = gibbs_run(
         plan, args.alpha, args.sweeps, args.burnin, args.thin, rng, args.chains
     )
-    chains, kept, n = mat.shape
+    chains, kept, n = states.shape
     if kept == 0:
         raise ValidationError("no retained sweeps: raise sweeps or lower burnin/thin")
     center = (n + 1) // 2
-    series = mat[:, :, center - 1].reshape(-1)
-    ess = batch_means_ess(series)
     if args.tail_grid:
         grid = [float(tok) for tok in args.tail_grid.split(",")]
     else:
         grid = [args.alpha + off for off in (0.5, 1.0, 1.5, 2.0)]
-    tail = []
-    for x in grid:
-        p = float(np.mean(series >= x))
-        se = math.sqrt(max(p * (1.0 - p), 0.0) / ess) if ess > 0 else float("nan")
-        tail.append({"x": x, "p_hat": p, "stderr": se})
+    tail = repulsion_tail(states, center, grid)
     if args.out_chain is not None:
         header = ["sweep", "coordinate", "value"]
         if chains > 1:
@@ -260,7 +254,7 @@ def _cmd_gibbs(args) -> int:
             for t in range(kept):
                 sweep = args.burnin + (t + 1) * args.thin
                 for k in range(n):
-                    row = [sweep, k + 1, float(mat[c, t, k])]
+                    row = [sweep, k + 1, float(states[c, t, k])]
                     if chains > 1:
                         row = [c] + row
                     rows.append(row)
@@ -282,9 +276,11 @@ def _cmd_gibbs(args) -> int:
             "chains": chains,
             "retained": chains * kept,
             "center_coordinate": center,
-            "center_mean": float(series.mean()),
-            "ess": ess,
-            "tail": tail,
+            "center_mean": float(states[:, :, center - 1].mean()),
+            "ess": tail.ess,
+            "tail": [
+                {"x": p.x, "p_hat": p.p_hat, "stderr": p.stderr} for p in tail.points
+            ],
         },
     )
     _emit(_json_text(doc) + "\n", args.out)

@@ -13,8 +13,16 @@ linear stencils:
 
 `build_gibbs_plan` derives every stencil twice, from the closed forms above
 and from Schur complements of the local covariance window, and refuses to
-proceed if they disagree; `gibbs_run` then runs a systematic-scan sampler,
-optionally vectorized across independent chains.
+proceed if they disagree.  It stores them as one (n, 4) band of weights on
+the coordinates at offsets -2, -1, +1, +2.
+
+`gibbs_run` runs a blocked sampler, vectorized across independent chains.
+The stencils reach distance two, so coordinates whose indices are equal mod 3
+never enter each other's conditionals: given the other two classes, the
+members of one class are conditionally independent.  One sweep therefore
+updates the classes k = 0, 1, 2 (mod 3) in turn, each with a single
+vectorized truncated-normal draw, and every block update is an exact Gibbs
+step.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .gaussian import _truncated_standard_vec, conditional
+from .gaussian import conditional, truncated_standard
 from .spectral import CovarianceProfile, repulsion_coefficients
 
 # Max |closed form - Schur| tolerated across plan coefficients.
@@ -34,20 +42,23 @@ PLAN_AGREEMENT_TOL = 1e-10
 DEFAULT_BURNIN = 1000
 DEFAULT_THIN = 10
 
+# Path offsets of the four stencil coordinates, one per column of the band.
+OFFSETS = np.array([-2, -1, 1, 2])
+
 
 @dataclass(frozen=True)
 class GibbsPlan:
     """Precomputed full-conditional stencils for a path of n coordinates.
 
-    neighbors[k] / coeffs[k] give the conditional mean of coordinate k (0-based)
-    as a dot product over neighboring coordinates; sigma2[k] is the residual
-    variance.  Stencils depend only on (d, lambda, n), not on the level.
+    The conditional mean of coordinate k (0-based) is
+    sum_j coeffs[k, j] * value[k + OFFSETS[j]], with coeffs[k, j] = 0 where
+    k + OFFSETS[j] falls off the path; sigma2[k] is the residual variance.
+    Stencils depend only on (d, lambda, n), not on the level.
     """
 
     profile: CovarianceProfile
     n: int
-    neighbors: tuple[np.ndarray, ...]
-    coeffs: tuple[np.ndarray, ...]
+    coeffs: np.ndarray
     sigma2: np.ndarray
 
 
@@ -84,13 +95,11 @@ def build_gibbs_plan(profile: CovarianceProfile, n: int) -> GibbsPlan:
         raise ValidationError(f"path length must be >= 1, got {n}")
     n = int(n)
     profile.require(min(4, n - 1) if n > 1 else 0)
-    neighbors: list[np.ndarray] = []
-    coeffs: list[np.ndarray] = []
+    coeffs = np.zeros((n, len(OFFSETS)))
     sigma2 = np.empty(n)
     for k in range(n):
-        nbrs = np.array(
-            [j for j in range(max(0, k - 2), min(n, k + 3)) if j != k], dtype=np.int64
-        )
+        inside = (k + OFFSETS >= 0) & (k + OFFSETS < n)
+        nbrs = k + OFFSETS[inside]
         window = np.concatenate(([k], nbrs))
         dist = np.abs(window[:, None] - window[None, :])
         cov = profile.phi[dist]
@@ -105,78 +114,9 @@ def build_gibbs_plan(profile: CovarianceProfile, n: int) -> GibbsPlan:
                     f"conditional stencil mismatch at position {k + 1}: "
                     f"closed form and Schur complement differ by {gap:.3e}"
                 )
-        neighbors.append(nbrs)
-        coeffs.append(coef)
+        coeffs[k, inside] = coef
         sigma2[k] = var
-    return GibbsPlan(
-        profile=profile,
-        n=n,
-        neighbors=tuple(neighbors),
-        coeffs=tuple(coeffs),
-        sigma2=sigma2,
-    )
-
-
-@dataclass(frozen=True)
-class ConditionedPathState:
-    """One retained Gibbs state of the conditioned path (all values > alpha)."""
-
-    n: int
-    alpha: float
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.n,):
-            raise ValidationError(
-                f"state shape {vals.shape} does not match path length {self.n}"
-            )
-        if vals.min(initial=math.inf) <= self.alpha:
-            raise ValidationError("conditioned state must lie strictly above alpha")
-        object.__setattr__(self, "values", vals)
-
-
-def _gibbs_run_matrix(
-    plan: GibbsPlan,
-    alpha: float,
-    sweeps: int,
-    burnin: int,
-    thin: int,
-    rng: np.random.Generator,
-    chains: int,
-) -> np.ndarray:
-    """Systematic-scan Gibbs, vectorized across chains.
-
-    Returns retained states as an array of shape (chains, kept, n); sweep
-    `burnin + i * thin` is the i-th retained state (1-based i).
-    """
-    if not math.isfinite(alpha):
-        raise ValidationError(f"alpha must be finite, got {alpha!r}")
-    if sweeps < 1:
-        raise ValidationError(f"sweeps must be >= 1, got {sweeps}")
-    if burnin < 0 or thin < 1 or chains < 1:
-        raise ValidationError("need burnin >= 0, thin >= 1, chains >= 1")
-    if sweeps <= burnin:
-        raise ValidationError(f"sweeps ({sweeps}) must exceed burnin ({burnin})")
-    n = plan.n
-    sd = np.sqrt(plan.sigma2)
-    state = np.full((chains, n), max(alpha, 0.0) + 1.0)
-    kept = (sweeps - burnin) // thin
-    out = np.empty((chains, kept, n))
-    stored = 0
-    for sweep in range(1, sweeps + 1):
-        for k in range(n):
-            nbrs = plan.neighbors[k]
-            if nbrs.size:
-                mean = state[:, nbrs] @ plan.coeffs[k]
-            else:
-                mean = np.zeros(chains)
-            a = (alpha - mean) / sd[k]
-            state[:, k] = mean + sd[k] * _truncated_standard_vec(a, rng)
-        if sweep > burnin and (sweep - burnin) % thin == 0 and stored < kept:
-            out[:, stored, :] = state
-            stored += 1
-    return out[:, :stored, :]
+    return GibbsPlan(profile=profile, n=n, coeffs=coeffs, sigma2=sigma2)
 
 
 def gibbs_run(
@@ -187,23 +127,42 @@ def gibbs_run(
     thin: int = DEFAULT_THIN,
     rng: np.random.Generator | None = None,
     chains: int = 1,
-) -> list[ConditionedPathState]:
-    """Run the conditioned-path Gibbs sampler and return retained states.
+) -> np.ndarray:
+    """Run the conditioned-path Gibbs sampler, vectorized across chains.
 
-    With several chains the states come back chain-major: every retained sweep
-    of chain 0, then of chain 1, and so on, so batch statistics over contiguous
-    stretches respect the serial structure.
+    Returns the retained states as an array of shape (chains, kept, n) with
+    kept = (sweeps - burnin) // thin; sweep `burnin + i * thin` is the i-th
+    retained state (1-based i).  Every value lies above alpha.
     """
     if rng is None:
         raise ValidationError("gibbs_run requires an explicit random generator")
-    mat = _gibbs_run_matrix(plan, alpha, sweeps, burnin, thin, rng, chains)
-    states: list[ConditionedPathState] = []
-    for c in range(mat.shape[0]):
-        for t in range(mat.shape[1]):
-            states.append(
-                ConditionedPathState(n=plan.n, alpha=alpha, values=mat[c, t].copy())
-            )
-    return states
+    if not math.isfinite(alpha):
+        raise ValidationError(f"alpha must be finite, got {alpha!r}")
+    if sweeps < 1:
+        raise ValidationError(f"sweeps must be >= 1, got {sweeps}")
+    if burnin < 0 or thin < 1 or chains < 1:
+        raise ValidationError("need burnin >= 0, thin >= 1, chains >= 1")
+    if sweeps <= burnin:
+        raise ValidationError(f"sweeps ({sweeps}) must exceed burnin ({burnin})")
+    n = plan.n
+    sd = np.sqrt(plan.sigma2)
+    # Coordinate k sits in column k + 2 of the zero-padded state; each colour
+    # class carries its columns, its neighbours' columns and their weights.
+    classes = []
+    for colour in range(min(3, n)):
+        ks = np.arange(colour, n, 3)
+        classes.append((ks + 2, ks[:, None] + 2 + OFFSETS, plan.coeffs[ks], sd[ks]))
+    state = np.zeros((chains, n + 4))
+    state[:, 2 : n + 2] = max(alpha, 0.0) + 1.0
+    out = np.empty((chains, (sweeps - burnin) // thin, n))
+    for sweep in range(1, sweeps + 1):
+        for cols, nbrs, weights, s in classes:
+            mean = (state[:, nbrs] * weights).sum(axis=2)
+            state[:, cols] = mean + s * truncated_standard((alpha - mean) / s, rng)
+        t, rest = divmod(sweep - burnin, thin)
+        if t > 0 and rest == 0:
+            out[:, t - 1] = state[:, 2 : n + 2]
+    return out
 
 
 def batch_means_ess(series: np.ndarray) -> float:
@@ -239,26 +198,27 @@ class RepulsionTail:
     ess: float
 
 
-def repulsion_tail(
-    states: list[ConditionedPathState], k: int, x_grid
-) -> RepulsionTail:
+def repulsion_tail(states, k: int, x_grid) -> RepulsionTail:
     """Tail estimates P(value at position k >= x) over a grid of levels.
 
-    `k` is the 1-based path position.  Standard errors are binomial with the
-    batch-means effective sample size in place of the raw count.
+    `states` is an array whose last axis is the path, such as the
+    (chains, kept, n) output of `gibbs_run`; leading axes flatten chain-major,
+    so batch statistics over contiguous stretches respect the serial
+    structure.  `k` is the 1-based path position.  Standard errors are
+    binomial with the batch-means effective sample size in place of the raw
+    count.
     """
-    if not states:
+    states = np.asarray(states, dtype=float)
+    if states.size == 0:
         raise ValidationError("repulsion_tail needs at least one state")
-    n = states[0].n
-    if any(s.n != n for s in states):
-        raise ValidationError("states mix different path lengths")
+    n = states.shape[-1]
     if k < 1 or k > n:
         raise ValidationError(f"position k={k} outside 1..{n}")
-    series = np.array([s.values[k - 1] for s in states])
-    ess = batch_means_ess(series)
+    series = states[..., k - 1].reshape(-1)
+    ess = batch_means_ess(series)  # > 0 for any nonempty series
     points = []
     for x in np.asarray(x_grid, dtype=float):
         p = float(np.mean(series >= x))
-        se = math.sqrt(max(p * (1.0 - p), 0.0) / ess) if ess > 0 else math.inf
+        se = math.sqrt(max(p * (1.0 - p), 0.0) / ess)
         points.append(TailPoint(x=float(x), p_hat=p, stderr=se))
     return RepulsionTail(k=int(k), points=tuple(points), ess=ess)

@@ -152,7 +152,7 @@ class TruncatedGaussian:
             raise ValidationError(f"variance must be >= 0, got {self.variance!r}")
 
 
-def _truncated_standard_vec(a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def truncated_standard(a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Draws of a standard normal conditioned on exceeding a, elementwise.
 
     Inverse CDF on the survival scale for a <= 4 (well conditioned there);
@@ -193,7 +193,7 @@ def sample_truncated(t: TruncatedGaussian, rng: np.random.Generator) -> float:
             "degenerate truncated normal: zero variance with mean below the bound"
         )
     a = (t.lower - t.mean) / sd
-    return t.mean + sd * float(_truncated_standard_vec(np.array([a]), rng)[0])
+    return t.mean + sd * float(truncated_standard(np.array([a]), rng)[0])
 
 
 def orthant_edge_probability(rho: float, alpha: float) -> float:

@@ -163,6 +163,63 @@ class SurvivalCurve:
         )
 
 
+def _batch_shape(particles: int, batches: int) -> tuple[int, int]:
+    """(independent batches, particles per batch) for an SMC run."""
+    nbat = max(2, min(batches, particles // 50))
+    return nbat, particles // nbat
+
+
+def _kernel_steps(profile: CovarianceProfile, count: int) -> list[tuple[float, float, float]]:
+    """`count` steps of the order-2 Markov path kernel, as (b1, b2, sd)."""
+    kern = path_step_kernel(profile)
+    return [(kern.b1, kern.b2, math.sqrt(kern.sigma2))] * count
+
+
+def _smc_factors(
+    prev: np.ndarray,
+    cur: np.ndarray,
+    steps: Sequence[tuple[float, float, float]],
+    alpha: float,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Per-step surviving fractions of a batched particle system.
+
+    `prev` and `cur` (shape (batches, per)) hold the last two coordinates of
+    every particle.  Step (b1, b2, sd) draws the next coordinate as
+    b1 * prev + b2 * cur + sd * N(0, 1), records each batch's fraction above
+    alpha, and resamples the survivors uniformly within the batch.  A batch
+    with no survivor is dead and records 0 from then on.  Returns the
+    fractions, shape (batches, len(steps)).
+    """
+    nbat, per = cur.shape
+    cur = cur.copy()  # becomes `prev` after one step and is resampled in place
+    factors = np.zeros((nbat, len(steps)))
+    dead = np.zeros(nbat, dtype=bool)
+    for k, (b1, b2, sd) in enumerate(steps):
+        nxt = b1 * prev + b2 * cur + sd * rng.standard_normal((nbat, per))
+        alive = nxt > alpha
+        factors[:, k] = np.where(dead, 0.0, alive.mean(axis=1))
+        prev, cur = cur, nxt
+        for b in range(nbat):
+            if dead[b]:
+                continue
+            idx = np.flatnonzero(alive[b])
+            if idx.size == 0:
+                dead[b] = True
+                continue
+            pick = idx[rng.integers(0, idx.size, per)]
+            cur[b] = cur[b, pick]
+            prev[b] = prev[b, pick]
+    return factors
+
+
+def _bootstrap_stderr(batch_estimates: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Bootstrap standard error of the batch mean, per column."""
+    nbat = batch_estimates.shape[0]
+    draws = rng.integers(0, nbat, (_BOOTSTRAP_RESAMPLES, nbat))
+    return batch_estimates[draws].mean(axis=1).std(axis=0, ddof=1)
+
+
 def survival_curve_smc(
     profile: CovarianceProfile,
     n_max: int,
@@ -186,57 +243,24 @@ def survival_curve_smc(
         raise ValidationError(f"alpha must be finite, got {alpha!r}")
     if batches < 2:
         raise ValidationError(f"batches must be >= 2, got {batches}")
-    nbat = max(2, min(batches, particles // 50))
-    per = particles // nbat
-    factors = np.zeros((nbat, n_max))
-    dead = np.zeros(nbat, dtype=bool)
-
-    cur = rng.standard_normal((nbat, per))
-    alive = cur > alpha
-    factors[:, 0] = alive.mean(axis=1)
-    prev = np.zeros_like(cur)
-
-    def resample(step_alive: np.ndarray) -> None:
-        for b in range(nbat):
-            if dead[b]:
-                continue
-            idx = np.flatnonzero(step_alive[b])
-            if idx.size == 0:
-                dead[b] = True
-                continue
-            pick = idx[rng.integers(0, idx.size, per)]
-            cur[b] = cur[b, pick]
-            prev[b] = prev[b, pick]
-
-    resample(alive)
+    nbat, per = _batch_shape(particles, batches)
+    # Coordinate 1 is N(0, 1), coordinate 2 is its phi(1)-correlated
+    # successor, and the order-2 Markov kernel carries on from there.
+    steps = [(0.0, 0.0, 1.0)]
     if n_max >= 2:
         phi1 = profile.require(1)
-        nxt = phi1 * cur + math.sqrt(1.0 - phi1 * phi1) * rng.standard_normal((nbat, per))
-        alive = nxt > alpha
-        factors[:, 1] = np.where(dead, 0.0, alive.mean(axis=1))
-        prev, cur = cur, nxt
-        resample(alive)
+        steps.append((0.0, phi1, math.sqrt(1.0 - phi1 * phi1)))
     if n_max >= 3:
-        kern = path_step_kernel(profile)
-        sd = math.sqrt(kern.sigma2)
-        for k in range(2, n_max):
-            nxt = kern.b1 * prev + kern.b2 * cur + sd * rng.standard_normal((nbat, per))
-            alive = nxt > alpha
-            factors[:, k] = np.where(dead, 0.0, alive.mean(axis=1))
-            prev, cur = cur, nxt
-            resample(alive)
-
+        steps += _kernel_steps(profile, n_max - 2)
+    zeros = np.zeros((nbat, per))
+    factors = _smc_factors(zeros, zeros, steps, alpha, rng)
     batch_estimates = np.cumprod(factors, axis=1)
-    p_hat = batch_estimates.mean(axis=0)
-    draws = rng.integers(0, nbat, (_BOOTSTRAP_RESAMPLES, nbat))
-    boot = batch_estimates[draws].mean(axis=1)
-    stderr = boot.std(axis=0, ddof=1)
     return SurvivalCurve(
         alpha=alpha,
         particles=per * nbat,
         batches=nbat,
-        p_hat=p_hat,
-        stderr=stderr,
+        p_hat=batch_estimates.mean(axis=0),
+        stderr=_bootstrap_stderr(batch_estimates, rng),
         batch_estimates=batch_estimates,
     )
 
@@ -276,38 +300,18 @@ def conditioned_survival(
         raise ValidationError(f"particles must be >= 100, got {particles}")
     if not (x1 > alpha and x2 > alpha):
         raise ValidationError("the conditioning pair must lie strictly above alpha")
-    nbat = max(2, min(batches, particles // 50))
-    per = particles // nbat
+    nbat, per = _batch_shape(particles, batches)
     if n == 2:
         return SurvivalEstimate(
             n=n, alpha=alpha, p_hat=1.0, stderr=0.0, method="smc-conditioned",
             reps=per * nbat, collapsed=False,
         )
-    kern = path_step_kernel(profile)
-    sd = math.sqrt(kern.sigma2)
-    factors = np.zeros((nbat, n - 2))
-    dead = np.zeros(nbat, dtype=bool)
     prev = np.full((nbat, per), float(x1))
     cur = np.full((nbat, per), float(x2))
-    for k in range(n - 2):
-        nxt = kern.b1 * prev + kern.b2 * cur + sd * rng.standard_normal((nbat, per))
-        alive = nxt > alpha
-        factors[:, k] = np.where(dead, 0.0, alive.mean(axis=1))
-        prev, cur = cur, nxt
-        for b in range(nbat):
-            if dead[b]:
-                continue
-            idx = np.flatnonzero(alive[b])
-            if idx.size == 0:
-                dead[b] = True
-                continue
-            pick = idx[rng.integers(0, idx.size, per)]
-            cur[b] = cur[b, pick]
-            prev[b] = prev[b, pick]
+    factors = _smc_factors(prev, cur, _kernel_steps(profile, n - 2), alpha, rng)
     batch_estimates = np.prod(factors, axis=1)
     p = float(batch_estimates.mean())
-    draws = rng.integers(0, nbat, (_BOOTSTRAP_RESAMPLES, nbat))
-    se = float(batch_estimates[draws].mean(axis=1).std(ddof=1))
+    se = float(_bootstrap_stderr(batch_estimates, rng))
     return SurvivalEstimate(
         n=n, alpha=alpha, p_hat=p, stderr=se, method="smc-conditioned",
         reps=per * nbat, collapsed=(p == 0.0),
@@ -417,9 +421,9 @@ def critical_threshold(
 ) -> float:
     """Critical level alpha_c: where the decay rate crosses 1/(d-1).
 
-    Bisection of transfer_rate(alpha) - 1/(d-1) over the widened rigorous
-    bracket [haggstrom - 1, expdec + 1]; the rate is strictly decreasing in
-    alpha, so the sign change is unique.
+    Brent's method on transfer_rate(alpha) - 1/(d-1) over the widened
+    rigorous bracket [haggstrom - 1, expdec + 1], to absolute tolerance `tol`;
+    the rate is strictly decreasing in alpha, so the sign change is unique.
     """
     if not (tol > 0.0) or not math.isfinite(tol):
         raise ValidationError(f"tol must be > 0, got {tol!r}")
@@ -427,20 +431,17 @@ def critical_threshold(
     target = 1.0 / (d - 1.0)
     lo = haggstrom_alpha(profile) - 1.0
     hi = expdec_alpha(profile) + 1.0
-    f_lo = transfer_rate(profile, lo, m, u_max_offset) - target
-    f_hi = transfer_rate(profile, hi, m, u_max_offset) - target
+
+    def f(a: float) -> float:
+        return transfer_rate(profile, a, m, u_max_offset) - target
+
+    f_lo, f_hi = f(lo), f(hi)
     if not (f_lo > 0.0 > f_hi):
         raise NumericalError(
             f"rate does not cross 1/(d-1) on [{lo:.6g}, {hi:.6g}]: "
             f"f(lo)={f_lo:.3e}, f(hi)={f_hi:.3e}"
         )
-    while hi - lo > 2.0 * tol:
-        mid = 0.5 * (lo + hi)
-        if transfer_rate(profile, mid, m, u_max_offset) - target > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(brentq(f, lo, hi, xtol=tol))
 
 
 @dataclass(frozen=True)
@@ -489,6 +490,11 @@ def survival_ratio_bounds(
     curve = survival_curve_smc(profile, top, alpha, reps, rng, batches)
     be = curve.batch_estimates
     nbat = be.shape[0]
+
+    def loo(x: np.ndarray) -> np.ndarray:
+        """Leave-one-batch-out means."""
+        return (x.sum() - x) / (nbat - 1)
+
     entries = []
     for n in n_list:
         for mm in m_list:
@@ -496,13 +502,7 @@ def survival_ratio_bounds(
             den_a = be[:, n - 1]
             den_b = be[:, mm - 1]
             full = num.mean() / (den_a.mean() * den_b.mean())
-            jack = np.array(
-                [
-                    np.delete(num, b).mean()
-                    / (np.delete(den_a, b).mean() * np.delete(den_b, b).mean())
-                    for b in range(nbat)
-                ]
-            )
+            jack = loo(num) / (loo(den_a) * loo(den_b))
             se = math.sqrt((nbat - 1) / nbat * float(((jack - jack.mean()) ** 2).sum()))
             entries.append(
                 RatioEntry(n=n, m=mm, ratio=float(full), stderr=se)

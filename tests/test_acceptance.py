@@ -177,7 +177,7 @@ def test_criterion_09_conditioned_path_statistics():
                 plan, 0.0, 7000, burnin=500, thin=2,
                 rng=np.random.default_rng(100 + n), chains=chains,
             )
-            center = np.array([s.values[n // 2] for s in states]).reshape(chains, -1)
+            center = states[:, :, n // 2]
             means = center.mean(axis=1)
             results[n] = (means.mean(), means.std(ddof=1) / np.sqrt(chains), states)
 

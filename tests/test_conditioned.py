@@ -12,17 +12,16 @@ def _profile(d=3, lam=0.0):
 
 
 def test_plan_frozen_stencils():
+    # band columns are the offsets -2, -1, +1, +2; off-path entries are 0
     plan = tw.build_gibbs_plan(_profile(3, 0.0), 7)
-    np.testing.assert_array_equal(plan.neighbors[0], [1, 2])
-    np.testing.assert_allclose(plan.coeffs[0], [0.0, -0.5], atol=1e-14)
-    np.testing.assert_array_equal(plan.neighbors[1], [0, 2, 3])
-    np.testing.assert_allclose(plan.coeffs[1], [0.0, 0.0, -0.5], atol=1e-14)
-    np.testing.assert_array_equal(plan.neighbors[3], [1, 2, 4, 5])
+    assert plan.coeffs.shape == (7, 4)
+    np.testing.assert_allclose(plan.coeffs[0], [0.0, 0.0, 0.0, -0.5], atol=1e-14)
+    np.testing.assert_allclose(plan.coeffs[1], [0.0, 0.0, 0.0, -0.5], atol=1e-14)
     np.testing.assert_allclose(plan.coeffs[3], [-0.4, 0.0, 0.0, -0.4], atol=1e-14)
     assert plan.sigma2[3] == pytest.approx(0.6, abs=1e-12)
     # mirror symmetry
-    np.testing.assert_array_equal(plan.neighbors[6], [4, 5])
-    np.testing.assert_allclose(plan.coeffs[6], [-0.5, 0.0], atol=1e-14)
+    np.testing.assert_allclose(plan.coeffs[6], [-0.5, 0.0, 0.0, 0.0], atol=1e-14)
+    np.testing.assert_allclose(plan.coeffs[5], [-0.5, 0.0, 0.0, 0.0], atol=1e-14)
 
 
 def test_plan_bulk_matches_repulsion_coefficients():
@@ -30,11 +29,12 @@ def test_plan_bulk_matches_repulsion_coefficients():
         prof = _profile(d, lam)
         c = tw.repulsion_coefficients(prof.point)
         plan = tw.build_gibbs_plan(prof, 9)
-        k = 4
-        np.testing.assert_array_equal(plan.neighbors[k], [2, 3, 5, 6])
         np.testing.assert_allclose(
-            plan.coeffs[k], [-c.a2 / 2, c.a1 / 2, c.a1 / 2, -c.a2 / 2], atol=1e-12
+            plan.coeffs[4], [-c.a2 / 2, c.a1 / 2, c.a1 / 2, -c.a2 / 2], atol=1e-12
         )
+        # columns that would reach off the path stay exactly zero
+        assert (plan.coeffs[0, :2] == 0.0).all() and plan.coeffs[1, 0] == 0.0
+        assert (plan.coeffs[8, 2:] == 0.0).all() and plan.coeffs[7, 3] == 0.0
         assert (plan.sigma2 > 0.0).all()
 
 
@@ -46,13 +46,17 @@ def test_plan_matches_conditional_on_everything():
         prof = tw.build_profile(tw.SpectralPoint(d, lam), n)
         cov = tw.assemble_covariance(prof, tw.canonical_path(d, n))
         plan = tw.build_gibbs_plan(tw.build_profile(tw.SpectralPoint(d, lam), 4), n)
-        for k in (0, 1, 4, 7):
+        for k in range(n):
             others = [i for i in range(n) if i != k]
             cg = tw.conditional(cov, others, [k])
             dense = np.zeros(n)
             dense[others] = cg.coeff[0]
             window = np.zeros(n)
-            window[plan.neighbors[k]] = plan.coeffs[k]
+            for j, offset in enumerate((-2, -1, 1, 2)):
+                if 0 <= k + offset < n:
+                    window[k + offset] = plan.coeffs[k, j]
+                else:
+                    assert plan.coeffs[k, j] == 0.0
             np.testing.assert_allclose(dense, window, atol=1e-9)
             assert plan.sigma2[k] == pytest.approx(cg.residual[0, 0], abs=1e-9)
 
@@ -61,8 +65,10 @@ def test_plan_small_paths():
     prof = _profile()
     plan = tw.build_gibbs_plan(prof, 1)
     assert plan.sigma2[0] == pytest.approx(1.0, abs=0.0)
+    np.testing.assert_array_equal(plan.coeffs, np.zeros((1, 4)))
     plan = tw.build_gibbs_plan(prof, 2)
-    np.testing.assert_allclose(plan.coeffs[0], [0.0], atol=1e-15)  # phi(1) = 0 here
+    assert plan.coeffs.shape == (2, 4)
+    np.testing.assert_allclose(plan.coeffs[0], [0.0, 0.0, 0.0, 0.0], atol=1e-15)  # phi(1) = 0 here
     with pytest.raises(ValidationError):
         tw.build_gibbs_plan(prof, 0)
 
@@ -70,12 +76,8 @@ def test_plan_small_paths():
 def test_gibbs_run_shapes_and_support():
     plan = tw.build_gibbs_plan(_profile(), 6)
     states = tw.gibbs_run(plan, 0.5, 80, burnin=20, thin=3, rng=np.random.default_rng(1), chains=3)
-    assert len(states) == 3 * 20
-    for s in states:
-        assert s.n == 6
-        assert s.alpha == 0.5
-        assert s.values.shape == (6,)
-        assert s.values.min() > 0.5
+    assert states.shape == (3, 20, 6)
+    assert states.min() > 0.5
 
 
 def test_gibbs_run_validation():
@@ -95,8 +97,7 @@ def test_gibbs_run_deterministic():
     plan = tw.build_gibbs_plan(_profile(), 5)
     a = tw.gibbs_run(plan, 0.0, 60, burnin=20, thin=2, rng=np.random.default_rng(9), chains=2)
     b = tw.gibbs_run(plan, 0.0, 60, burnin=20, thin=2, rng=np.random.default_rng(9), chains=2)
-    for sa, sb in zip(a, b):
-        np.testing.assert_array_equal(sa.values, sb.values)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_gibbs_center_mean_matches_quadrature():
@@ -107,18 +108,31 @@ def test_gibbs_center_mean_matches_quadrature():
     states = tw.gibbs_run(
         plan, 0.0, 3000, burnin=300, thin=3, rng=np.random.default_rng(110), chains=chains
     )
-    center = np.array([s.values[5] for s in states]).reshape(chains, -1)
-    chain_means = center.mean(axis=1)
+    chain_means = states[:, :, 5].mean(axis=1)
     se = chain_means.std(ddof=1) / np.sqrt(chains)
     assert chain_means.mean() == pytest.approx(EXACT_CENTER_MEAN_N10, abs=4.5 * se)
 
 
-def test_conditioned_state_validation():
-    tw.ConditionedPathState(3, 0.0, np.array([0.5, 1.0, 0.2]))
-    with pytest.raises(ValidationError):
-        tw.ConditionedPathState(3, 0.0, np.array([0.5, -1.0, 0.2]))
-    with pytest.raises(ValidationError):
-        tw.ConditionedPathState(4, 0.0, np.array([0.5, 1.0, 0.2]))
+@pytest.mark.parametrize("d, lam, alpha", [(3, 1.0, 0.0), (4, -1.5, -0.3)])
+def test_gibbs_short_paths_match_filtered_exact_draws(d, lam, alpha):
+    # every coordinate mean of the conditioned law, against exact path draws
+    # kept when they stay above alpha; short paths exercise the end stencils
+    prof = _profile(d, lam)
+    chains = 32
+    for n in range(1, 6):
+        plan = tw.build_gibbs_plan(prof, n)
+        states = tw.gibbs_run(
+            plan, alpha, 1200, burnin=200, thin=1, rng=np.random.default_rng(40 + n), chains=chains
+        )
+        chain_means = states.mean(axis=1)
+        gibbs_mean = chain_means.mean(axis=0)
+        gibbs_se = chain_means.std(axis=0, ddof=1) / np.sqrt(chains)
+        draws = tw.sample_path_many(prof, n, 400_000, np.random.default_rng(50 + n))
+        kept = draws[np.all(draws > alpha, axis=1)]
+        exact_mean = kept.mean(axis=0)
+        exact_se = kept.std(axis=0, ddof=1) / np.sqrt(len(kept))
+        z = (gibbs_mean - exact_mean) / np.hypot(gibbs_se, exact_se)
+        assert np.abs(z).max() < 5.0, (n, z)
 
 
 def test_batch_means_ess_iid_vs_correlated():
@@ -139,12 +153,13 @@ def test_repulsion_tail_hand_count():
             [0.3, 0.4, 3.5, 0.1, 0.2],
         ]
     )
-    states = [tw.ConditionedPathState(5, 0.0, v) for v in vals]
-    tail = tw.repulsion_tail(states, 3, [1.0, 2.0, 3.0])
+    tail = tw.repulsion_tail(vals, 3, [1.0, 2.0, 3.0])
     assert tail.k == 3
     assert [p.p_hat for p in tail.points] == [0.75, 0.5, 0.25]
     assert all(p.stderr > 0 for p in tail.points)
+    # leading (chain, sweep) axes flatten chain-major into the same series
+    assert tw.repulsion_tail(vals.reshape(2, 2, 5), 3, [1.0, 2.0, 3.0]) == tail
     with pytest.raises(ValidationError):
-        tw.repulsion_tail(states, 6, [1.0])
+        tw.repulsion_tail(vals, 6, [1.0])
     with pytest.raises(ValidationError):
         tw.repulsion_tail([], 1, [1.0])

@@ -3,6 +3,7 @@ import pytest
 from scipy.special import ndtr
 
 import treewaves as tw
+from treewaves import levelset
 from treewaves.errors import ValidationError
 
 HAGGSTROM_D3_L0 = -0.90209418401443608  # root of the degree-weighted pair equation
@@ -214,6 +215,24 @@ def test_critical_threshold_regression():
     assert tw.haggstrom_alpha(prof) < ac < tw.expdec_alpha(prof)
 
 
+@pytest.mark.parametrize("d, lam_frac, tol", [(3, 0.0, 1e-4), (16, -0.3, 1e-5)])
+def test_critical_threshold_rate_evaluations(monkeypatch, d, lam_frac, tol):
+    # the root finder, not a fixed bisection, sets the number of rate evaluations
+    calls = []
+    rate = levelset.transfer_rate
+
+    def counting_rate(*args, **kwargs):
+        calls.append(args[1])
+        return rate(*args, **kwargs)
+
+    monkeypatch.setattr(levelset, "transfer_rate", counting_rate)
+    prof = tw.build_profile(tw.SpectralPoint(d, lam_frac * tw.spectral_edge(d)), 2)
+    ac = tw.critical_threshold(prof, tol=tol)
+    assert len(calls) <= 14
+    target = 1.0 / (d - 1.0)
+    assert rate(prof, ac - 2 * tol) > target > rate(prof, ac + 2 * tol)
+
+
 def test_ratio_bounds_structure():
     prof = _profile()
     rep = tw.survival_ratio_bounds(prof, 0.0, [3, 6], [3, 6], 20_000, np.random.default_rng(29))
@@ -224,3 +243,14 @@ def test_ratio_bounds_structure():
     ratios = {(e.n, e.m): e.ratio for e in rep.entries}
     assert ratios[(3, 6)] == ratios[(6, 3)]  # same curve, symmetric definition
     assert all(e.stderr >= 0 for e in rep.entries)
+    # the vectorized jackknife against the explicit leave-one-batch-out loop
+    be = tw.survival_curve_smc(prof, 12, 0.0, 20_000, np.random.default_rng(29)).batch_estimates
+    nbat = be.shape[0]
+    for e in rep.entries:
+        num, den_a, den_b = be[:, e.n + e.m - 1], be[:, e.n - 1], be[:, e.m - 1]
+        jack = np.array([
+            np.delete(num, b).mean() / (np.delete(den_a, b).mean() * np.delete(den_b, b).mean())
+            for b in range(nbat)
+        ])
+        se = np.sqrt((nbat - 1) / nbat * ((jack - jack.mean()) ** 2).sum())
+        assert e.stderr == pytest.approx(se, rel=1e-12)
