@@ -77,10 +77,7 @@ from .spectral import (
 )
 from .tree import (
     Ball,
-    VertexId,
     ball_vertex_count,
-    canonical_path,
-    distance,
     enumerate_ball,
     pairwise_distances,
     sphere_size,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -47,11 +47,19 @@ from .sampler import (
     verify_sphere_sums,
 )
 from .spectral import SpectralPoint, build_profile
-from .tree import canonical_path
 
 SCHEMA_VERSION = 1
 TOOL = f"treewaves {__version__}"
 EIGEN_RESIDUAL_RTOL = 1e-8
+# CSV rows are formatted this many at a time.
+CSV_BLOCK_ROWS = 1 << 14
+# The sample-path CSV gives the depth-k vertex the address "0/0/.../0" (2k - 1
+# characters), so an n-vertex table holds about n^2 characters: ~100 MB at 10^4.
+PATH_CSV_MAX_N = 10**4
+M_HELP = (
+    "quadrature nodes per axis, >= 16; the kernel holds 8*m^3 bytes "
+    "(134 MB at m=256, ~1 GB at m=512)"
+)
 
 
 def _fmt(value) -> str:
@@ -97,45 +105,59 @@ def _json_text(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks: Iterable[str], out: str | None) -> None:
+    """Write text chunks in order to the file `out`, or to stdout."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-
-
-def _meta_lines(args, extra: dict | None = None) -> list[str]:
-    meta = {
-        "schema_version": SCHEMA_VERSION,
-        "tool": TOOL,
-        "d": args.d,
-        "lambda": getattr(args, "lam", 0.0),
-        "seed": getattr(args, "seed", 0),
-    }
-    if extra:
-        meta.update(extra)
-    return [f"# {k}={_fmt(v)}" for k, v in meta.items()]
-
-
-def _csv_text(args, extra_meta: dict, header: list[str], rows: list[Sequence]) -> str:
-    lines = _meta_lines(args, extra_meta)
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+            fh.writelines(chunks)
 
 
 def _summary(args, payload: dict) -> dict:
-    doc = {
+    """The header keys every output starts with, then `payload`: the body of a
+    JSON summary, or the metadata block of a CSV table."""
+    return {
         "schema_version": SCHEMA_VERSION,
         "tool": TOOL,
         "d": args.d,
         "lambda": getattr(args, "lam", 0.0),
         "seed": getattr(args, "seed", 0),
+        **payload,
     }
-    doc.update(payload)
-    return doc
+
+
+def _cells(column) -> list[str]:
+    """One CSV column as text: a list holds strings already; an integer array
+    is printed with str, a float array with 17 significant digits."""
+    if isinstance(column, list):
+        return column
+    if column.dtype.kind in "iu":
+        return list(map(str, column.tolist()))
+    return [f"{v:.17g}" for v in column.tolist()]
+
+
+def _csv_chunks(args, meta: dict, columns: dict) -> Iterator[str]:
+    """Metadata block, header and one row per entry of the named columns.
+
+    Rows are formatted and yielded CSV_BLOCK_ROWS at a time, so no full copy
+    of a large table is ever held as text.
+    """
+    lines = [f"# {k}={_fmt(v)}" for k, v in _summary(args, meta).items()]
+    lines.append(",".join(columns))
+    yield "\n".join(lines) + "\n"
+    size = len(next(iter(columns.values())))
+    for lo in range(0, size, CSV_BLOCK_ROWS):
+        cells = [_cells(c[lo : lo + CSV_BLOCK_ROWS]) for c in columns.values()]
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
+def _float_list(text: str, flag: str) -> list[float]:
+    """A comma list of numbers; a malformed entry is invalid input."""
+    try:
+        return [float(tok) for tok in text.split(",")]
+    except ValueError:
+        raise ValidationError(f"{flag} takes a comma list of numbers, got {text!r}") from None
 
 
 def _rng(args) -> np.random.Generator:
@@ -159,9 +181,8 @@ def _add_common(sub: argparse.ArgumentParser, seed: bool = True) -> None:
 
 def _cmd_profile(args) -> int:
     profile = build_profile(_point(args), args.n)
-    rows = [[n, float(profile.phi[n])] for n in range(profile.n_max + 1)]
-    text = _csv_text(args, {"big_phi": profile.big_phi}, ["n", "phi"], rows)
-    _emit(text, args.out)
+    columns = {"n": np.arange(profile.n_max + 1), "phi": profile.phi}
+    _emit(_csv_chunks(args, {"big_phi": profile.big_phi}, columns), args.out)
     return 0
 
 
@@ -171,24 +192,22 @@ def _cmd_sample_ball(args) -> int:
     draw = sample_ball_dense if args.sampler == "dense" else sample_ball_recursive
     sample = draw(profile, args.radius, rng)
     ball = sample.ball
-    rows = list(zip(ball.addresses(), ball.depth.tolist(), sample.values.tolist()))
-    text = _csv_text(args, {"sampler": sample.sampler, "radius": args.radius},
-                     ["vertex", "depth", "value"], rows)
-    _emit(text, args.out)
+    columns = {"vertex": ball.addresses(), "depth": ball.depth, "value": sample.values}
+    _emit(_csv_chunks(args, {"sampler": sample.sampler, "radius": args.radius}, columns),
+          args.out)
     return 0
 
 
 def _cmd_sample_path(args) -> int:
+    if args.n > PATH_CSV_MAX_N:
+        raise ValidationError(f"path length {args.n} over the budget of {PATH_CSV_MAX_N}")
     profile = build_profile(_point(args), max(2, args.n - 1))
     rng = _rng(args)
     sample = sample_path(profile, args.n, rng)
-    verts = canonical_path(args.d, args.n)
-    rows = [
-        [v.to_string(), v.depth, float(sample.values[i])] for i, v in enumerate(verts)
-    ]
-    text = _csv_text(args, {"sampler": "path", "n": args.n},
-                     ["vertex", "depth", "value"], rows)
-    _emit(text, args.out)
+    # the path follows child 0 from the root
+    addresses = [""] + ["0" + "/0" * (k - 1) for k in range(1, args.n)]
+    columns = {"vertex": addresses, "depth": np.arange(args.n), "value": sample.values}
+    _emit(_csv_chunks(args, {"sampler": "path", "n": args.n}, columns), args.out)
     return 0
 
 
@@ -225,7 +244,7 @@ def _cmd_verify(args) -> int:
         args,
         {"radius": args.radius, "reps": args.reps, "results": results, "pass": all_pass},
     )
-    _emit(_json_text(doc) + "\n", args.out)
+    _emit([_json_text(doc), "\n"], args.out)
     return 0
 
 
@@ -241,30 +260,20 @@ def _cmd_gibbs(args) -> int:
         raise ValidationError("no retained sweeps: raise sweeps or lower burnin/thin")
     center = (n + 1) // 2
     if args.tail_grid:
-        grid = [float(tok) for tok in args.tail_grid.split(",")]
+        grid = _float_list(args.tail_grid, "--tail-grid")
     else:
         grid = [args.alpha + off for off in (0.5, 1.0, 1.5, 2.0)]
     tail = repulsion_tail(states, center, grid)
     if args.out_chain is not None:
-        header = ["sweep", "coordinate", "value"]
-        if chains > 1:
-            header = ["chain", "sweep", "coordinate", "value"]
-        rows = []
-        for c in range(chains):
-            for t in range(kept):
-                sweep = args.burnin + (t + 1) * args.thin
-                for k in range(n):
-                    row = [sweep, k + 1, float(states[c, t, k])]
-                    if chains > 1:
-                        row = [c] + row
-                    rows.append(row)
-        text = _csv_text(
-            args,
-            {"n": n, "alpha": args.alpha, "sweeps": args.sweeps,
-             "burnin": args.burnin, "thin": args.thin, "chains": chains},
-            header, rows,
-        )
-        _emit(text, args.out_chain)
+        # chain-major rows; the chain column only when there are several
+        chain, t, k = (a.ravel() for a in np.indices(states.shape))
+        columns = {"chain": chain, "sweep": args.burnin + (t + 1) * args.thin,
+                   "coordinate": k + 1, "value": states.ravel()}
+        if chains == 1:
+            del columns["chain"]
+        meta = {"n": n, "alpha": args.alpha, "sweeps": args.sweeps,
+                "burnin": args.burnin, "thin": args.thin, "chains": chains}
+        _emit(_csv_chunks(args, meta, columns), args.out_chain)
     doc = _summary(
         args,
         {
@@ -283,7 +292,7 @@ def _cmd_gibbs(args) -> int:
             ],
         },
     )
-    _emit(_json_text(doc) + "\n", args.out)
+    _emit([_json_text(doc), "\n"], args.out)
     return 0
 
 
@@ -306,13 +315,13 @@ def _cmd_survival(args) -> int:
             "collapsed": est.collapsed,
         },
     )
-    _emit(_json_text(doc) + "\n", args.out)
+    _emit([_json_text(doc), "\n"], args.out)
     return 0
 
 
 def _parse_alpha_grid(args) -> list[float]:
     if args.alphas:
-        return [float(tok) for tok in args.alphas.split(",")]
+        return _float_list(args.alphas, "--alphas")
     if args.alpha_steps < 2:
         raise ValidationError("--alpha-steps must be >= 2")
     if not args.alpha_max > args.alpha_min:
@@ -322,19 +331,14 @@ def _parse_alpha_grid(args) -> list[float]:
 
 def _cmd_rate(args) -> int:
     profile = build_profile(_point(args), 2)
-    grid = _parse_alpha_grid(args)
-    rows = []
-    for alpha in grid:
-        r = transfer_rate(profile, alpha, args.m, args.u_max_offset)
-        r_coarse = transfer_rate(profile, alpha, max(16, args.m // 2), args.u_max_offset)
-        rows.append([alpha, r, abs(r - r_coarse)])
-    text = _csv_text(
-        args,
-        {"m": args.m, "u_max_offset": args.u_max_offset},
-        ["alpha", "r", "stderr_or_tol"],
-        rows,
+    grid = np.array(_parse_alpha_grid(args), dtype=float)
+    r, r_coarse = (
+        np.array([transfer_rate(profile, alpha, m, args.u_max_offset) for alpha in grid])
+        for m in (args.m, max(16, args.m // 2))
     )
-    _emit(text, args.out)
+    columns = {"alpha": grid, "r": r, "stderr_or_tol": np.abs(r - r_coarse)}
+    _emit(_csv_chunks(args, {"m": args.m, "u_max_offset": args.u_max_offset}, columns),
+          args.out)
     return 0
 
 
@@ -355,7 +359,7 @@ def _cmd_threshold(args) -> int:
             "tol": args.tol,
         },
     )
-    _emit(_json_text(doc) + "\n", args.out)
+    _emit([_json_text(doc), "\n"], args.out)
     return 0
 
 
@@ -369,7 +373,7 @@ def _cmd_bounds(args) -> int:
             "big_phi": profile.big_phi,
         },
     )
-    _emit(_json_text(doc) + "\n", args.out)
+    _emit([_json_text(doc), "\n"], args.out)
     return 0
 
 
@@ -433,14 +437,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-min", type=float, default=-1.0)
     p.add_argument("--alpha-max", type=float, default=2.0)
     p.add_argument("--alpha-steps", type=int, default=13)
-    p.add_argument("--m", type=int, default=64)
+    p.add_argument("--m", type=int, default=64, help=M_HELP)
     p.add_argument("--u-max-offset", type=float, default=8.0)
     p.set_defaults(func=_cmd_rate)
 
     p = subs.add_parser("threshold", help="critical level alpha_c as JSON")
     _add_common(p, seed=False)
     p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--m", type=int, default=64)
+    p.add_argument("--m", type=int, default=64, help=M_HELP)
     p.add_argument("--u-max-offset", type=float, default=8.0)
     p.set_defaults(func=_cmd_threshold)
 

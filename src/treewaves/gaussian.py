@@ -20,7 +20,7 @@ from scipy.special import ndtr, ndtri
 
 from .errors import NumericalError, ValidationError
 from .spectral import CovarianceProfile
-from .tree import VertexId, pairwise_distances
+from .tree import Ball, pairwise_distances
 
 # Eigenvalues below RANK_RTOL * (largest eigenvalue) count as zero, both when
 # factoring and when inverting for conditioning.
@@ -40,15 +40,10 @@ def _norm_q(x):
     return ndtr(-x)
 
 
-def assemble_covariance(
-    profile: CovarianceProfile, vertices: Sequence[VertexId]
-) -> np.ndarray:
-    """Covariance matrix phi(distance(u, v)) over an ordered vertex set."""
-    if len(vertices) == 0:
-        raise ValidationError("assemble_covariance needs at least one vertex")
-    dist = pairwise_distances(tuple(vertices))
-    top = int(dist.max())
-    profile.require(top)  # fails loudly when the profile is too short
+def assemble_covariance(profile: CovarianceProfile, vertices: Ball) -> np.ndarray:
+    """Covariance matrix phi(graph distance) over the vertices of a ball, in BFS order."""
+    dist = pairwise_distances(vertices)
+    profile.require(int(dist.max()))  # fails loudly when the profile is too short
     return profile.phi[dist]
 
 

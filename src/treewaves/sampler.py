@@ -131,7 +131,7 @@ def sample_ball_dense_many(
     if reps < 1:
         raise ValidationError(f"reps must be >= 1, got {reps}")
     ball = enumerate_ball(profile.point.d, r)
-    cov = assemble_covariance(profile, ball.vertices)
+    cov = assemble_covariance(profile, ball)
     return ball, factor_psd(cov).draw(rng, reps)
 
 

@@ -22,63 +22,6 @@ from .spectral import TreeParams
 DEFAULT_VERTEX_BUDGET = 10**6
 
 
-@dataclass(frozen=True)
-class VertexId:
-    """Address of a tree vertex: child indices along the path from the root."""
-
-    d: int
-    address: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        TreeParams(self.d)
-        object.__setattr__(self, "d", int(self.d))
-        addr = tuple(int(i) for i in self.address)
-        object.__setattr__(self, "address", addr)
-        for pos, step in enumerate(addr):
-            fan = self.d if pos == 0 else self.d - 1
-            if step < 0 or step >= fan:
-                raise ValidationError(
-                    f"address step {step} at position {pos} out of range for d={self.d}"
-                )
-
-    @property
-    def depth(self) -> int:
-        return len(self.address)
-
-    def parent(self) -> "VertexId":
-        if not self.address:
-            raise ValidationError("the root has no parent")
-        return VertexId(self.d, self.address[:-1])
-
-    def child(self, i: int) -> "VertexId":
-        return VertexId(self.d, self.address + (int(i),))
-
-    def to_string(self) -> str:
-        return "/".join(str(i) for i in self.address)
-
-    @staticmethod
-    def from_string(d: int, text: str) -> "VertexId":
-        if text == "":
-            return VertexId(d, ())
-        try:
-            parts = tuple(int(tok) for tok in text.split("/"))
-        except ValueError as exc:
-            raise ValidationError(f"malformed vertex address {text!r}") from exc
-        return VertexId(d, parts)
-
-
-def distance(u: VertexId, v: VertexId) -> int:
-    """Graph distance between two vertices: depths minus twice the shared prefix."""
-    if u.d != v.d:
-        raise ValidationError(f"vertices from different trees: d={u.d} vs d={v.d}")
-    k = 0
-    for a, b in zip(u.address, v.address):
-        if a != b:
-            break
-        k += 1
-    return u.depth + v.depth - 2 * k
-
-
 def sphere_size(d: int, k: int) -> int:
     """Number of vertices at distance exactly k from a vertex."""
     TreeParams(d)
@@ -137,11 +80,6 @@ class Ball:
             out.extend(shell)
         return out
 
-    @property
-    def vertices(self) -> tuple[VertexId, ...]:
-        """VertexId of every vertex in BFS order, built on each access."""
-        return tuple(VertexId.from_string(self.d, a) for a in self.addresses())
-
 
 def enumerate_ball(d: int, r: int, max_vertices: int = DEFAULT_VERTEX_BUDGET) -> Ball:
     """Materialize the radius-r ball in BFS order.
@@ -171,36 +109,22 @@ def enumerate_ball(d: int, r: int, max_vertices: int = DEFAULT_VERTEX_BUDGET) ->
     return Ball(d=d, radius=r, parent=parent, depth=depth)
 
 
-def canonical_path(d: int, n: int) -> list[VertexId]:
-    """A fixed geodesic of n vertices starting at the root (child 0 repeatedly)."""
-    TreeParams(d)
-    if n < 1:
-        raise ValidationError(f"path length must be >= 1, got {n}")
-    if n > DEFAULT_VERTEX_BUDGET:
-        raise ValidationError(f"path length {n} over the budget of {DEFAULT_VERTEX_BUDGET}")
-    return [VertexId(d, (0,) * k) for k in range(n)]
 
 
-def pairwise_distances(vertices: list[VertexId] | tuple[VertexId, ...]) -> np.ndarray:
-    """Symmetric integer matrix of pairwise graph distances.
+def pairwise_distances(vertices: Ball) -> np.ndarray:
+    """Symmetric integer matrix of graph distances between the vertices of a ball.
 
-    Depths minus twice the shared address prefix, found by comparing one
-    address position at a time across all pairs.
+    Depths minus twice the length of the shared address prefix.  Going up one
+    level at a time, `anc` holds the depth-k ancestor of every vertex at depth
+    >= k (a contiguous BFS suffix); two vertices share a prefix of length at
+    least k exactly when their depth-k ancestors are equal.
     """
-    m = len(vertices)
-    if len({v.d for v in vertices}) > 1:
-        raise ValidationError("vertices from different trees")
-    depth = np.array([v.depth for v in vertices], dtype=np.int64)
-    width = int(depth.max(initial=0))
-    # Addresses padded with -1; a padded position is never a shared step.
-    addr = np.array(
-        [v.address + (-1,) * (width - v.depth) for v in vertices], dtype=np.int64
-    ).reshape(m, width)
-    shared = np.zeros((m, m), dtype=np.int64)
-    same = np.ones((m, m), dtype=bool)
-    for k in range(width):
-        col = addr[:, k]
-        same &= col[:, None] == col[None, :]
-        same &= (col >= 0)[:, None]
-        shared += same
-    return depth[:, None] + depth[None, :] - 2 * shared
+    parent, depth = vertices.parent, vertices.depth
+    anc = np.arange(len(vertices))
+    dist = np.add.outer(depth, depth)
+    for k in range(vertices.radius, 0, -1):
+        sl = vertices.sphere_slice(k)
+        anc[sl.stop :] = parent[anc[sl.stop :]]
+        tail = anc[sl.start :]
+        dist[sl.start :, sl.start :] -= 2 * (tail[:, None] == tail[None, :])
+    return dist

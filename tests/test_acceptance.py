@@ -82,7 +82,7 @@ def test_criterion_03_dense_and_recursive_agree():
         reps = 100_000
         ball, dv = tw.sample_ball_dense_many(prof, 2, reps, np.random.default_rng(11))
         _, rv = tw.sample_ball_recursive_many(prof, 2, reps, np.random.default_rng(12))
-        cov = tw.assemble_covariance(prof, ball.vertices)
+        cov = tw.assemble_covariance(prof, ball)
         se = np.sqrt((1.0 + cov**2) / reps)
         np.fill_diagonal(se, np.sqrt(2.0 / reps))
         for vals in (dv, rv):
@@ -97,7 +97,7 @@ def test_criterion_04_ball_covariance_rank():
         for d, lam in ((3, 0.0), (3, 0.7), (4, 1.1)):
             for r in (1, 2, 3):
                 prof = tw.build_profile(tw.SpectralPoint(d, lam), 2 * r)
-                cov = tw.assemble_covariance(prof, tw.enumerate_ball(d, r).vertices)
+                cov = tw.assemble_covariance(prof, tw.enumerate_ball(d, r))
                 expect = tw.ball_vertex_count(d, r) - tw.ball_vertex_count(d, r - 1)
                 assert tw.factor_psd(cov).rank == expect
         assert time.monotonic() - t0 < 10.0

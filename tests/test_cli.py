@@ -5,7 +5,9 @@ import pytest
 from scipy.special import ndtr
 
 import treewaves as tw
-from treewaves.cli import run
+from treewaves.cli import PATH_CSV_MAX_N, run
+
+from tree_reference import ball_addresses, to_string
 
 GOLDEN_PROFILE = (
     "# schema_version=1\n"
@@ -52,6 +54,25 @@ def test_exit_codes(tmp_path, monkeypatch):
     monkeypatch.setattr(cli_mod, "critical_threshold", boom)
     assert run(["threshold", "--d", "3", "--lambda", "0"]) == 1
 
+    # malformed comma lists are invalid input, not runtime failures
+    assert run(["rate", "--d", "3", "--lambda", "0", "--alphas=0,x", "--m", "16"]) == 2
+    assert run(["gibbs", "--d", "3", "--lambda", "0", "--alpha", "0", "--n", "4",
+                "--sweeps", "40", "--tail-grid", "1,,2", "--out", str(tmp_path / "g")]) == 2
+
+
+def test_sample_path_budget_rejected_before_any_work(monkeypatch, capsys):
+    import treewaves.cli as cli_mod
+
+    def boom(*a, **k):
+        raise RuntimeError("work started")
+
+    monkeypatch.setattr(cli_mod, "build_profile", boom)
+    for n in (PATH_CSV_MAX_N + 1, 10**9):
+        assert run(["sample-path", "--d", "3", "--lambda", "0", "--n", str(n)]) == 2
+        assert "budget" in capsys.readouterr().err
+    # an n inside the budget does reach the (patched) work
+    assert run(["sample-path", "--d", "3", "--lambda", "0", "--n", "5"]) == 1
+
 
 def test_deterministic_commands_take_no_seed(tmp_path):
     for argv in (
@@ -71,11 +92,18 @@ def test_reruns_byte_identical(tmp_path):
         ["sample-ball", "--d", "3", "--lambda", "1.0", "--radius", "3", "--seed", "4", "--sampler", "recursive"],
         ["verify", "--d", "3", "--lambda", "0", "--radius", "2", "--reps", "50", "--seed", "2", "--sampler", "both"],
         ["bounds", "--d", "4", "--lambda", "1.0"],
+        ["sample-path", "--d", "4", "--lambda", "-1.0", "--n", "30", "--seed", "3"],
+        ["sample-ball", "--d", "4", "--lambda", "0.5", "--radius", "3", "--seed", "4", "--sampler", "dense"],
+        ["gibbs", "--d", "3", "--lambda", "0", "--alpha", "0", "--n", "6", "--sweeps", "50",
+         "--burnin", "10", "--thin", "2", "--chains", "3", "--seed", "7"],
     ):
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert run(argv + ["--out", str(a)]) == 0
-        assert run(argv + ["--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
+        written = []
+        for name in ("a", "b"):
+            files = [tmp_path / name, tmp_path / f"{name}.chain"]
+            chain = ["--out-chain", str(files[1])] if argv[0] == "gibbs" else []
+            assert run(argv + chain + ["--out", str(files[0])]) == 0
+            written.append([f.read_bytes() for f in files if f.exists()])
+        assert written[0] == written[1]
 
 
 def test_outputs_carry_metadata_and_no_timestamps(tmp_path):
@@ -96,9 +124,11 @@ def test_sample_ball_csv_contents(tmp_path):
     assert rows[0] == "vertex,depth,value"
     body = [r.split(",") for r in rows[1:]]
     assert len(body) == tw.ball_vertex_count(3, 2)
-    for vertex, depth, value in body:
-        v = tw.VertexId.from_string(3, vertex)
-        assert v.depth == int(depth)
+    ref = ball_addresses(3, 2)
+    assert [(vertex, int(depth)) for vertex, depth, _ in body] == [
+        (to_string(a), len(a)) for a in ref
+    ]
+    for _, _, value in body:
         float(value)
 
     other = tmp_path / "dense.csv"
@@ -153,6 +183,13 @@ def test_gibbs_json_and_chain_csv(tmp_path):
         assert int(sweep) > 20
         assert 1 <= int(coord) <= 4
         assert float(value) > 0.0  # every retained coordinate is above the level
+    # every row against the library run at the same seed, chain-major
+    prof = tw.build_profile(tw.SpectralPoint(3, 0.0), 4)
+    states = tw.gibbs_run(tw.build_gibbs_plan(prof, 4), 0.0, 60, 20, 4,
+                          np.random.default_rng(np.random.SeedSequence(5)), 2)
+    expect = [f"{c},{20 + (i + 1) * 4},{k + 1},{states[c, i, k]:.17g}"
+              for c in range(2) for i in range(kept) for k in range(4)]
+    assert rows[1:] == expect
 
     single = tmp_path / "g1.csv"
     run(["gibbs", "--d", "3", "--lambda", "0", "--alpha", "0", "--n", "4",
@@ -160,6 +197,35 @@ def test_gibbs_json_and_chain_csv(tmp_path):
          "--seed", "5", "--out-chain", str(single)])
     rows1 = [ln for ln in single.read_text().splitlines() if not ln.startswith("#")]
     assert rows1[0] == "sweep,coordinate,value"  # no chain column for a single chain
+    states = tw.gibbs_run(tw.build_gibbs_plan(prof, 4), 0.0, 60, 20, 4,
+                          np.random.default_rng(np.random.SeedSequence(5)), 1)
+    assert rows1[1:] == [f"{20 + (i + 1) * 4},{k + 1},{states[0, i, k]:.17g}"
+                         for i in range(kept) for k in range(4)]
+
+
+def test_sample_path_csv_contents(tmp_path, monkeypatch):
+    out = tmp_path / "path.csv"
+    assert run(["sample-path", "--d", "4", "--lambda", "1.5", "--n", "7", "--seed", "8",
+                "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert "# sampler=path" in lines and "# n=7" in lines
+    rows = [ln.split(",") for ln in lines if not ln.startswith("#")]
+    assert rows[0] == ["vertex", "depth", "value"]
+    assert [r[0] for r in rows[1:]] == ["", "0", "0/0", "0/0/0", "0/0/0/0", "0/0/0/0/0", "0/0/0/0/0/0"]
+    assert [int(r[1]) for r in rows[1:]] == list(range(7))
+    prof = tw.build_profile(tw.SpectralPoint(4, 1.5), 6)
+    sample = tw.sample_path(prof, 7, np.random.default_rng(np.random.SeedSequence(8)))
+    assert [r[2] for r in rows[1:]] == [f"{v:.17g}" for v in sample.values]
+
+    # rows formatted in blocks of 3 and of 1 give the same bytes
+    import treewaves.cli as cli_mod
+
+    for block in (3, 1):
+        monkeypatch.setattr(cli_mod, "CSV_BLOCK_ROWS", block)
+        other = tmp_path / f"path{block}.csv"
+        assert run(["sample-path", "--d", "4", "--lambda", "1.5", "--n", "7", "--seed", "8",
+                    "--out", str(other)]) == 0
+        assert other.read_bytes() == out.read_bytes()
 
 
 def test_rate_csv(tmp_path):

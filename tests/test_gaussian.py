@@ -14,7 +14,7 @@ def _profile(d=3, lam=0.0, n_max=6):
 def test_assemble_covariance_ball_one():
     prof = _profile(3, 1.0, 2)
     ball = tw.enumerate_ball(3, 1)
-    cov = tw.assemble_covariance(prof, ball.vertices)
+    cov = tw.assemble_covariance(prof, ball)
     p1, p2 = prof.phi[1], prof.phi[2]
     expect = np.array(
         [
@@ -31,7 +31,7 @@ def test_assemble_covariance_requires_profile_depth():
     prof = _profile(3, 1.0, 2)
     ball = tw.enumerate_ball(3, 2)  # leaf pairs at distance 4
     with pytest.raises(ValidationError):
-        tw.assemble_covariance(prof, ball.vertices)
+        tw.assemble_covariance(prof, ball)
 
 
 def test_factor_psd_reconstruction_and_rank():
@@ -45,7 +45,7 @@ def test_factor_psd_reconstruction_and_rank():
     np.testing.assert_allclose(f.factor @ f.factor.T, ones, atol=1e-12)
 
     prof = _profile(3, 0.0, 4)
-    cov = tw.assemble_covariance(prof, tw.enumerate_ball(3, 2).vertices)
+    cov = tw.assemble_covariance(prof, tw.enumerate_ball(3, 2))
     f = tw.factor_psd(cov)
     assert f.rank == 6  # ball covariance rank = outer sphere size
     np.testing.assert_allclose(f.factor @ f.factor.T, cov, atol=1e-12)
@@ -94,11 +94,22 @@ def test_conditional_validation():
         tw.conditional(cov, [0], [5])
 
 
+def test_ball_covariance_rank_at_spectral_edges():
+    # rank = outer sphere size holds at lambda = +-2 sqrt(d-1) too
+    for d in (3, 4, 5, 8):
+        edge = tw.spectral_edge(d)
+        for lam in (-edge, edge):
+            for r in (1, 2, 3):
+                prof = tw.build_profile(tw.SpectralPoint(d, lam), 2 * r)
+                cov = tw.assemble_covariance(prof, tw.enumerate_ball(d, r))
+                assert tw.factor_psd(cov).rank == tw.sphere_size(d, r), (d, lam, r)
+
+
 def test_conditional_agrees_with_pinv_on_tree_ball():
     # conditioning set = all of the unit ball, whose covariance is singular
     # (rank 3 of 4), so the minimal-norm pseudoinverse solution is the oracle
     prof = _profile(3, 1.2, 4)
-    cov = tw.assemble_covariance(prof, tw.enumerate_ball(3, 2).vertices)
+    cov = tw.assemble_covariance(prof, tw.enumerate_ball(3, 2))
     given = [0, 1, 2, 3]
     target = [4, 7, 9]
     cg = tw.conditional(cov, given, target)

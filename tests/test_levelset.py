@@ -6,6 +6,8 @@ import treewaves as tw
 from treewaves import levelset
 from treewaves.errors import ValidationError
 
+from tree_reference import address_index, ball_addresses
+
 HAGGSTROM_D3_L0 = -0.90209418401443608  # root of the degree-weighted pair equation
 ALPHA_C_D3_L0 = -0.23720420290986205  # bisection at tol 1e-4, m = 64
 
@@ -52,14 +54,14 @@ def test_extract_components_threshold_strict():
 
 
 def _reference_components(sample, alpha):
-    """Flood fill over VertexId.parent() links, clusters in BFS order of their
-    first vertex, as (size, reach, touches_boundary, contains_root)."""
-    verts = sample.ball.vertices
-    index = {v: i for i, v in enumerate(verts)}
+    """Flood fill over tuple-address parent links, clusters in BFS order of
+    their first vertex, as (size, reach, touches_boundary, contains_root)."""
+    verts = ball_addresses(sample.ball.d, sample.ball.radius)
+    index = address_index(verts)
     above = [x > alpha for x in sample.values]
     nbrs = {i: [] for i in range(len(verts))}
     for i, v in enumerate(verts[1:], start=1):
-        p = index[v.parent()]
+        p = index[v[:-1]]
         if above[i] and above[p]:
             nbrs[i].append(p)
             nbrs[p].append(i)
@@ -76,7 +78,7 @@ def _reference_components(sample, alpha):
                 if k not in seen:
                     seen.add(k)
                     stack.append(k)
-        reach = max(verts[j].depth for j in members)
+        reach = max(len(verts[j]) for j in members)
         out.append((len(members), reach, reach == sample.ball.radius, 0 in members))
     return out
 

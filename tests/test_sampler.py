@@ -4,6 +4,8 @@ import pytest
 import treewaves as tw
 from treewaves.errors import ValidationError
 
+from tree_reference import address_index, ball_addresses
+
 
 def _profile(d=3, lam=0.0, n_max=8):
     return tw.build_profile(tw.SpectralPoint(d, lam), n_max)
@@ -103,26 +105,26 @@ def test_recursive_matches_dense_covariance():
         prof = _profile(d, lam, 2 * r)
         ball, dv = tw.sample_ball_dense_many(prof, r, reps, np.random.default_rng(11))
         _, rv = tw.sample_ball_recursive_many(prof, r, reps, np.random.default_rng(12))
-        cov = tw.assemble_covariance(prof, ball.vertices)
+        cov = tw.assemble_covariance(prof, ball)
         for emp in (dv.T @ dv / reps, rv.T @ rv / reps):
             z = (emp - cov) / np.sqrt((1.0 + cov**2) / reps)
             assert np.abs(z).max() <= 4.5
 
 
 def _recursive_reference(prof, r, reps, rng):
-    """The recursive sampler drawn one family at a time over VertexId lookups."""
+    """The recursive sampler drawn one family at a time over tuple-address lookups."""
     d = prof.point.d
-    verts = tw.enumerate_ball(d, r).vertices
-    index = {v: i for i, v in enumerate(verts)}
+    verts = ball_addresses(d, r)
+    index = address_index(verts)
     blocks = tw.sampler._recursive_blocks(prof)
     vals = np.empty((reps, len(verts)))
     vals[:, 0] = rng.standard_normal(reps)
     vals[:, 1 : d + 1] = blocks.shell_mean_coeff * vals[:, [0]] + blocks.shell_factor.draw(rng, reps)
     for i, v in enumerate(verts):
-        if 1 <= v.depth < r:
-            kids = [index[v.child(c)] for c in range(d - 1)]
+        if 1 <= len(v) < r:
+            kids = [index[v + (c,)] for c in range(d - 1)]
             mean = (
-                blocks.child_coeff_parent * vals[:, [index[v.parent()]]]
+                blocks.child_coeff_parent * vals[:, [index[v[:-1]]]]
                 + blocks.child_coeff_vertex * vals[:, [i]]
             )
             vals[:, kids] = mean + blocks.child_factor.draw(rng, reps)
@@ -144,14 +146,14 @@ def test_eigen_residual_matches_vertex_loop():
         prof = _profile(d, 0.9, 4)
         ball = tw.enumerate_ball(d, r)
         vals = np.random.default_rng(d + r).standard_normal(len(ball))
-        verts = ball.vertices
-        index = {v: i for i, v in enumerate(verts)}
+        verts = ball_addresses(d, r)
+        index = address_index(verts)
         worst = 0.0
         for i, v in enumerate(verts):
-            if v.depth < r:
-                nbrs = [index[v.child(c)] for c in range(d if i == 0 else d - 1)]
+            if len(v) < r:
+                nbrs = [index[v + (c,)] for c in range(d if i == 0 else d - 1)]
                 if i > 0:
-                    nbrs.append(index[v.parent()])
+                    nbrs.append(index[v[:-1]])
                 worst = max(worst, abs(0.9 * vals[i] - vals[nbrs].sum()))
         s = tw.BallSample(profile=prof, ball=ball, values=vals, sampler="dense")
         assert tw.verify_eigen_residual(s) == pytest.approx(worst, rel=1e-12)
