@@ -57,8 +57,8 @@ CSV_BLOCK_ROWS = 1 << 14
 # characters), so an n-vertex table holds about n^2 characters: ~100 MB at 10^4.
 PATH_CSV_MAX_N = 10**4
 M_HELP = (
-    "quadrature nodes per axis, >= 16; the kernel holds 8*m^3 bytes "
-    "(134 MB at m=256, ~1 GB at m=512)"
+    "quadrature nodes per axis, >= 16; memory grows like m^2 (under 8 MB at "
+    "m=256) and time like m^3"
 )
 
 

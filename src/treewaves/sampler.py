@@ -34,6 +34,11 @@ from .tree import Ball, enumerate_ball
 # the step kernel degenerate and signals corrupted inputs.
 _PHI1_DEGENERACY_TOL = 1e-12
 
+# The dense sampler holds N x N distances and covariance and runs eigh on them,
+# so it refuses balls above this many vertices (d=3 reaches 1534 at r=9).
+# Larger balls go through the recursive sampler.
+DENSE_VERTEX_BUDGET = 2048
+
 
 @dataclass(frozen=True)
 class BallSample:
@@ -130,7 +135,7 @@ def sample_ball_dense_many(
     """reps independent dense ball draws stacked as a (reps, ball size) matrix."""
     if reps < 1:
         raise ValidationError(f"reps must be >= 1, got {reps}")
-    ball = enumerate_ball(profile.point.d, r)
+    ball = enumerate_ball(profile.point.d, r, max_vertices=DENSE_VERTEX_BUDGET)
     cov = assemble_covariance(profile, ball)
     return ball, factor_psd(cov).draw(rng, reps)
 

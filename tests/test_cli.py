@@ -74,6 +74,28 @@ def test_sample_path_budget_rejected_before_any_work(monkeypatch, capsys):
     assert run(["sample-path", "--d", "3", "--lambda", "0", "--n", "5"]) == 1
 
 
+def test_dense_ball_budget_rejected_before_covariance(tmp_path, monkeypatch, capsys):
+    import treewaves.sampler as sampler_mod
+
+    def boom(*a, **k):
+        raise RuntimeError("covariance assembled")
+
+    monkeypatch.setattr(sampler_mod, "assemble_covariance", boom)
+    for argv in (
+        ["sample-ball", "--d", "3", "--lambda", "0", "--radius", "10", "--sampler", "dense"],
+        ["verify", "--d", "3", "--lambda", "0", "--radius", "10", "--reps", "1",
+         "--sampler", "dense"],
+    ):
+        assert run(argv) == 2
+        assert "budget" in capsys.readouterr().err
+    # r=9 (1534 vertices) is inside the dense budget and reaches the (patched)
+    # assembly; the recursive sampler takes r=10
+    assert run(["sample-ball", "--d", "3", "--lambda", "0", "--radius", "9",
+                "--sampler", "dense"]) == 1
+    assert run(["sample-ball", "--d", "3", "--lambda", "0", "--radius", "10",
+                "--sampler", "recursive", "--out", str(tmp_path / "b.csv")]) == 0
+
+
 def test_deterministic_commands_take_no_seed(tmp_path):
     for argv in (
         ["bounds", "--d", "3", "--lambda", "0"],

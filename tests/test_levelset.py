@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
 import treewaves as tw
 from treewaves import levelset
-from treewaves.errors import ValidationError
+from treewaves.errors import NumericalError, ValidationError
 
+from transfer_reference import transfer_rate_tensor
 from tree_reference import address_index, ball_addresses
 
 HAGGSTROM_D3_L0 = -0.90209418401443608  # root of the degree-weighted pair equation
@@ -196,6 +199,47 @@ def test_transfer_rate_validation():
         tw.transfer_rate(prof, 0.0, m=8)
     with pytest.raises(ValidationError):
         tw.transfer_rate(prof, 0.0, u_max_offset=0.0)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 8, 16])
+def test_transfer_rate_matches_tensor_reference(d):
+    # the factorised operator against the full m^3 tensor, across the widened
+    # bracket; both must collapse in exactly the same cases
+    edge = tw.spectral_edge(d)
+    for frac in (-1.0, -0.93, -0.5, 0.0, 0.5, 1.0):
+        prof = _profile(d, frac * edge, 2)
+        lo, hi = tw.haggstrom_alpha(prof) - 1.0, tw.expdec_alpha(prof) + 1.0
+        for alpha in np.linspace(lo, hi, 5):
+            for m in (16, 32, 64):
+                for offset in (8.0, 16.0):
+                    try:
+                        ref = transfer_rate_tensor(prof, alpha, m, offset)
+                    except NumericalError:
+                        with pytest.raises(NumericalError):
+                            tw.transfer_rate(prof, alpha, m, offset)
+                        continue
+                    got = tw.transfer_rate(prof, alpha, m, offset)
+                    if ref > 1e-250:
+                        assert got == pytest.approx(ref, rel=1e-11, abs=0.0)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_transfer_rate_collapses_at_lower_edge(d):
+    prof = _profile(d, -tw.spectral_edge(d), 2)
+    with pytest.raises(NumericalError, match="collapsed"):
+        tw.transfer_rate(prof, tw.expdec_alpha(prof) + 1.0)
+
+
+def test_transfer_rate_memory_is_quadratic_in_m():
+    prof = _profile()
+    tracemalloc.start()
+    try:
+        r256 = tw.transfer_rate(prof, 0.25, m=256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20  # an m^3 float64 tensor alone is 128 MiB here
+    assert abs(tw.transfer_rate(prof, 0.25, m=512) - r256) <= 1e-9
 
 
 def test_bracket_endpoints_frozen():

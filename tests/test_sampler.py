@@ -97,6 +97,17 @@ def test_ball_radius_zero():
     assert tw.verify_eigen_residual(s) == 0.0
 
 
+def test_dense_vertex_budget():
+    from treewaves.sampler import DENSE_VERTEX_BUDGET
+
+    assert tw.ball_vertex_count(3, 9) <= DENSE_VERTEX_BUDGET < tw.ball_vertex_count(3, 10)
+    prof = _profile(3, 0.0, 20)
+    with pytest.raises(ValidationError, match="budget"):
+        tw.sample_ball_dense_many(prof, 10, 1, np.random.default_rng(0))
+    with pytest.raises(ValidationError, match="budget"):
+        tw.sample_ball_dense(prof, 10, np.random.default_rng(0))
+
+
 def test_recursive_matches_dense_covariance():
     # moderate-replicate version of the distribution-equality check; the
     # d=4, r=3 case runs the per-shell child draw over two shells
