@@ -21,12 +21,10 @@ from .errors import NumericalError, ValidationError
 from .gaussian import (
     ConditionalGaussian,
     PsdFactor,
-    TruncatedGaussian,
     assemble_covariance,
     conditional,
     factor_psd,
     orthant_edge_probability,
-    sample_truncated,
     truncated_standard,
 )
 from .levelset import (
@@ -36,7 +34,6 @@ from .levelset import (
     RatioEntry,
     SurvivalCurve,
     SurvivalEstimate,
-    conditioned_survival,
     critical_threshold,
     expdec_alpha,
     extract_components,
@@ -44,19 +41,16 @@ from .levelset import (
     survival_curve_smc,
     survival_direct,
     survival_ratio_bounds,
-    survival_smc,
     transfer_rate,
 )
 from .sampler import (
     BallSample,
-    PathSample,
     StepKernel,
     path_step_kernel,
     sample_ball_dense,
     sample_ball_dense_many,
     sample_ball_recursive,
     sample_ball_recursive_many,
-    sample_path,
     sample_path_many,
     sample_scale,
     verify_eigen_residual,
@@ -68,7 +62,6 @@ from .spectral import (
     SpectralPoint,
     TreeParams,
     build_profile,
-    chebyshev_u,
     repulsion_coefficients,
     sample_lambda,
     sample_lambda_many,

@@ -34,14 +34,14 @@ from .levelset import (
     critical_threshold,
     expdec_alpha,
     haggstrom_alpha,
+    survival_curve_smc,
     survival_direct,
-    survival_smc,
     transfer_rate,
 )
 from .sampler import (
     sample_ball_dense,
     sample_ball_recursive,
-    sample_path,
+    sample_path_many,
     sample_scale,
     verify_eigen_residual,
     verify_sphere_sums,
@@ -203,15 +203,17 @@ def _cmd_sample_path(args) -> int:
         raise ValidationError(f"path length {args.n} over the budget of {PATH_CSV_MAX_N}")
     profile = build_profile(_point(args), max(2, args.n - 1))
     rng = _rng(args)
-    sample = sample_path(profile, args.n, rng)
+    values = sample_path_many(profile, args.n, 1, rng)[0]
     # the path follows child 0 from the root
     addresses = [""] + ["0" + "/0" * (k - 1) for k in range(1, args.n)]
-    columns = {"vertex": addresses, "depth": np.arange(args.n), "value": sample.values}
+    columns = {"vertex": addresses, "depth": np.arange(args.n), "value": values}
     _emit(_csv_chunks(args, {"sampler": "path", "n": args.n}, columns), args.out)
     return 0
 
 
 def _cmd_verify(args) -> int:
+    if args.reps < 1:
+        raise ValidationError(f"--reps must be >= 1, got {args.reps}")
     profile = build_profile(_point(args), max(2, 2 * args.radius))
     rng = _rng(args)
     samplers = ["dense", "recursive"] if args.sampler == "both" else [args.sampler]
@@ -302,7 +304,9 @@ def _cmd_survival(args) -> int:
     if args.method == "direct":
         est = survival_direct(profile, args.n, args.alpha, args.reps, rng)
     else:
-        est = survival_smc(profile, args.n, args.alpha, args.particles, rng, args.batches)
+        est = survival_curve_smc(
+            profile, args.n, args.alpha, args.particles, rng, args.batches
+        ).estimate(args.n)
     doc = _summary(
         args,
         {

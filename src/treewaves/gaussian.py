@@ -132,21 +132,6 @@ def conditional(
     return ConditionalGaussian(coeff=coeff, residual=residual)
 
 
-@dataclass(frozen=True)
-class TruncatedGaussian:
-    """Normal(mean, variance) conditioned on exceeding `lower`."""
-
-    mean: float
-    variance: float
-    lower: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.mean) or not math.isfinite(self.lower):
-            raise ValidationError("truncated normal needs finite mean and lower bound")
-        if not self.variance >= 0.0:
-            raise ValidationError(f"variance must be >= 0, got {self.variance!r}")
-
-
 def truncated_standard(a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Draws of a standard normal conditioned on exceeding a, elementwise.
 
@@ -176,19 +161,6 @@ def truncated_standard(a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
             pending[idx] = False
         out[hard] = vals
     return out
-
-
-def sample_truncated(t: TruncatedGaussian, rng: np.random.Generator) -> float:
-    """One draw from a lower-truncated normal."""
-    sd = math.sqrt(t.variance)
-    if sd == 0.0:
-        if t.mean >= t.lower:
-            return t.mean
-        raise ValidationError(
-            "degenerate truncated normal: zero variance with mean below the bound"
-        )
-    a = (t.lower - t.mean) / sd
-    return t.mean + sd * float(truncated_standard(np.array([a]), rng)[0])
 
 
 def orthant_edge_probability(rho: float, alpha: float) -> float:

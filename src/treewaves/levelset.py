@@ -153,46 +153,35 @@ class SurvivalCurve:
     stderr: np.ndarray
     batch_estimates: np.ndarray
 
-    def estimate(self, n: int, method: str = "smc") -> SurvivalEstimate:
+    def estimate(self, n: int) -> SurvivalEstimate:
+        """The SMC estimate of P(n) read off the curve."""
         if n < 1 or n > self.p_hat.size:
             raise ValidationError(f"length {n} outside curve range 1..{self.p_hat.size}")
         p = float(self.p_hat[n - 1])
         return SurvivalEstimate(
             n=n, alpha=self.alpha, p_hat=p, stderr=float(self.stderr[n - 1]),
-            method=method, reps=self.particles, collapsed=(p == 0.0),
+            method="smc", reps=self.particles, collapsed=(p == 0.0),
         )
 
 
-def _batch_shape(particles: int, batches: int) -> tuple[int, int]:
-    """(independent batches, particles per batch) for an SMC run."""
-    nbat = max(2, min(batches, particles // 50))
-    return nbat, particles // nbat
-
-
-def _kernel_steps(profile: CovarianceProfile, count: int) -> list[tuple[float, float, float]]:
-    """`count` steps of the order-2 Markov path kernel, as (b1, b2, sd)."""
-    kern = path_step_kernel(profile)
-    return [(kern.b1, kern.b2, math.sqrt(kern.sigma2))] * count
-
-
 def _smc_factors(
-    prev: np.ndarray,
-    cur: np.ndarray,
+    nbat: int,
+    per: int,
     steps: Sequence[tuple[float, float, float]],
     alpha: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Per-step surviving fractions of a batched particle system.
+    """Per-step surviving fractions of `nbat` batches of `per` particles.
 
-    `prev` and `cur` (shape (batches, per)) hold the last two coordinates of
-    every particle.  Step (b1, b2, sd) draws the next coordinate as
+    `prev` and `cur` hold the last two coordinates of every particle, zero
+    before the first step.  Step (b1, b2, sd) draws the next coordinate as
     b1 * prev + b2 * cur + sd * N(0, 1), records each batch's fraction above
     alpha, and resamples the survivors uniformly within the batch.  A batch
     with no survivor is dead and records 0 from then on.  Returns the
-    fractions, shape (batches, len(steps)).
+    fractions, shape (nbat, len(steps)).
     """
-    nbat, per = cur.shape
-    cur = cur.copy()  # becomes `prev` after one step and is resampled in place
+    prev = np.zeros((nbat, per))
+    cur = np.zeros((nbat, per))
     factors = np.zeros((nbat, len(steps)))
     dead = np.zeros(nbat, dtype=bool)
     for k, (b1, b2, sd) in enumerate(steps):
@@ -211,13 +200,6 @@ def _smc_factors(
             cur[b] = cur[b, pick]
             prev[b] = prev[b, pick]
     return factors
-
-
-def _bootstrap_stderr(batch_estimates: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Bootstrap standard error of the batch mean, per column."""
-    nbat = batch_estimates.shape[0]
-    draws = rng.integers(0, nbat, (_BOOTSTRAP_RESAMPLES, nbat))
-    return batch_estimates[draws].mean(axis=1).std(axis=0, ddof=1)
 
 
 def survival_curve_smc(
@@ -243,7 +225,8 @@ def survival_curve_smc(
         raise ValidationError(f"alpha must be finite, got {alpha!r}")
     if batches < 2:
         raise ValidationError(f"batches must be >= 2, got {batches}")
-    nbat, per = _batch_shape(particles, batches)
+    nbat = max(2, min(batches, particles // 50))
+    per = particles // nbat
     # Coordinate 1 is N(0, 1), coordinate 2 is its phi(1)-correlated
     # successor, and the order-2 Markov kernel carries on from there.
     steps = [(0.0, 0.0, 1.0)]
@@ -251,70 +234,18 @@ def survival_curve_smc(
         phi1 = profile.require(1)
         steps.append((0.0, phi1, math.sqrt(1.0 - phi1 * phi1)))
     if n_max >= 3:
-        steps += _kernel_steps(profile, n_max - 2)
-    zeros = np.zeros((nbat, per))
-    factors = _smc_factors(zeros, zeros, steps, alpha, rng)
-    batch_estimates = np.cumprod(factors, axis=1)
+        kern = path_step_kernel(profile)
+        steps += [(kern.b1, kern.b2, math.sqrt(kern.sigma2))] * (n_max - 2)
+    batch_estimates = np.cumprod(_smc_factors(nbat, per, steps, alpha, rng), axis=1)
+    # Bootstrap over batches for the standard error of the batch mean.
+    draws = rng.integers(0, nbat, (_BOOTSTRAP_RESAMPLES, nbat))
     return SurvivalCurve(
         alpha=alpha,
         particles=per * nbat,
         batches=nbat,
         p_hat=batch_estimates.mean(axis=0),
-        stderr=_bootstrap_stderr(batch_estimates, rng),
+        stderr=batch_estimates[draws].mean(axis=1).std(axis=0, ddof=1),
         batch_estimates=batch_estimates,
-    )
-
-
-def survival_smc(
-    profile: CovarianceProfile,
-    n: int,
-    alpha: float,
-    particles: int,
-    rng: np.random.Generator,
-    batches: int = 16,
-) -> SurvivalEstimate:
-    """SMC estimate of P(n); exact-in-expectation at every intermediate length."""
-    curve = survival_curve_smc(profile, n, alpha, particles, rng, batches)
-    return curve.estimate(n)
-
-
-def conditioned_survival(
-    profile: CovarianceProfile,
-    n: int,
-    alpha: float,
-    x1: float,
-    x2: float,
-    particles: int,
-    rng: np.random.Generator,
-    batches: int = 16,
-) -> SurvivalEstimate:
-    """SMC estimate of survival beyond a fixed first pair (x1, x2) above alpha.
-
-    Estimates F(n) = P(coordinates 3..n stay above alpha | first two equal
-    (x1, x2)); F(2) = 1 by convention.  Averaging F(n) over the conditioned
-    law of the first pair recovers P(n) / P(2).
-    """
-    if n < 2:
-        raise ValidationError(f"conditioned survival needs n >= 2, got {n}")
-    if particles < 100:
-        raise ValidationError(f"particles must be >= 100, got {particles}")
-    if not (x1 > alpha and x2 > alpha):
-        raise ValidationError("the conditioning pair must lie strictly above alpha")
-    nbat, per = _batch_shape(particles, batches)
-    if n == 2:
-        return SurvivalEstimate(
-            n=n, alpha=alpha, p_hat=1.0, stderr=0.0, method="smc-conditioned",
-            reps=per * nbat, collapsed=False,
-        )
-    prev = np.full((nbat, per), float(x1))
-    cur = np.full((nbat, per), float(x2))
-    factors = _smc_factors(prev, cur, _kernel_steps(profile, n - 2), alpha, rng)
-    batch_estimates = np.prod(factors, axis=1)
-    p = float(batch_estimates.mean())
-    se = float(_bootstrap_stderr(batch_estimates, rng))
-    return SurvivalEstimate(
-        n=n, alpha=alpha, p_hat=p, stderr=se, method="smc-conditioned",
-        reps=per * nbat, collapsed=(p == 0.0),
     )
 
 
@@ -522,7 +453,8 @@ def survival_ratio_bounds(
 
     One SMC curve run covers every length; ratios use the per-batch prefix
     products so shared factors cancel within a batch, and the stderr is a
-    leave-one-batch-out jackknife.
+    leave-one-batch-out jackknife.  Raises NumericalError when every batch
+    dies before the longest length n + m.
     """
     n_list = [int(v) for v in n_list]
     m_list = [int(v) for v in m_list]
@@ -532,6 +464,14 @@ def survival_ratio_bounds(
         raise ValidationError("path lengths must be >= 1")
     top = max(n_list) + max(m_list)
     curve = survival_curve_smc(profile, top, alpha, reps, rng, batches)
+    # The curve does not increase with length, so a zero at the top length
+    # is a zero in some ratio's numerator or denominator.
+    if curve.p_hat[-1] == 0.0:
+        first = int(np.argmax(curve.p_hat == 0.0)) + 1
+        raise NumericalError(
+            f"every SMC batch died by length {first} at alpha={alpha!r}: "
+            "the ratios are undefined; raise reps or lower alpha"
+        )
     be = curve.batch_estimates
     nbat = be.shape[0]
 

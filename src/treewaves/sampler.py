@@ -15,7 +15,8 @@ identities by construction and scales linearly in the ball size.
 
 A geodesic path is order-2 Markov: given the two previous coordinates the next
 one is Gaussian with mean b1 * (two back) + b2 * (one back).  `path_step_kernel`
-exposes those weights; `sample_path` iterates them.
+exposes those weights; `sample_path_many` iterates them over a batch of
+independent paths.
 """
 
 from __future__ import annotations
@@ -54,23 +55,6 @@ class BallSample:
         if vals.shape != (len(self.ball),):
             raise ValidationError(
                 f"values shape {vals.shape} does not match ball size {len(self.ball)}"
-            )
-        object.__setattr__(self, "values", vals)
-
-
-@dataclass(frozen=True)
-class PathSample:
-    """One realization of the process along a geodesic of n vertices."""
-
-    profile: CovarianceProfile
-    n: int
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.n,):
-            raise ValidationError(
-                f"values shape {vals.shape} does not match path length {self.n}"
             )
         object.__setattr__(self, "values", vals)
 
@@ -121,12 +105,6 @@ def sample_path_many(
                 + sd * rng.standard_normal(reps)
             )
     return out
-
-
-def sample_path(profile: CovarianceProfile, n: int, rng: np.random.Generator) -> PathSample:
-    """One exact draw of the process along a geodesic of n vertices."""
-    values = sample_path_many(profile, n, 1, rng)[0]
-    return PathSample(profile=profile, n=n, values=values)
 
 
 def sample_ball_dense_many(

@@ -85,24 +85,6 @@ class SpectralPoint:
         return spectral_edge(self.d)
 
 
-def chebyshev_u(n: int, x):
-    """Chebyshev polynomial of the second kind U_n(x), extended by U_{-1} = 0.
-
-    x may be a scalar or an ndarray; the result matches its shape.
-    """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ValidationError(f"chebyshev_u requires integer n, got {n!r}")
-    if n < -1:
-        raise ValidationError(f"chebyshev_u requires n >= -1, got {n}")
-    x = np.asarray(x, dtype=float)
-    u_prev, u = np.zeros_like(x), np.ones_like(x)  # U_{-1}, U_0
-    if n == -1:
-        u = u_prev
-    for _ in range(n):
-        u_prev, u = u, 2.0 * x * u - u_prev
-    return float(u) if u.ndim == 0 else u
-
-
 def spectral_density(point: SpectralPoint) -> float:
     """Kesten-McKay density of the adjacency spectrum at lambda.
 

@@ -59,6 +59,11 @@ def test_exit_codes(tmp_path, monkeypatch):
     assert run(["gibbs", "--d", "3", "--lambda", "0", "--alpha", "0", "--n", "4",
                 "--sweeps", "40", "--tail-grid", "1,,2", "--out", str(tmp_path / "g")]) == 2
 
+    # verify with no reps has nothing to check: invalid, rejected before any work
+    monkeypatch.setattr(cli_mod, "build_profile", boom)
+    for reps in ("0", "-5"):
+        assert run(["verify", "--d", "3", "--lambda", "0", "--radius", "2", "--reps", reps]) == 2
+
 
 def test_sample_path_budget_rejected_before_any_work(monkeypatch, capsys):
     import treewaves.cli as cli_mod
@@ -236,8 +241,8 @@ def test_sample_path_csv_contents(tmp_path, monkeypatch):
     assert [r[0] for r in rows[1:]] == ["", "0", "0/0", "0/0/0", "0/0/0/0", "0/0/0/0/0", "0/0/0/0/0/0"]
     assert [int(r[1]) for r in rows[1:]] == list(range(7))
     prof = tw.build_profile(tw.SpectralPoint(4, 1.5), 6)
-    sample = tw.sample_path(prof, 7, np.random.default_rng(np.random.SeedSequence(8)))
-    assert [r[2] for r in rows[1:]] == [f"{v:.17g}" for v in sample.values]
+    values = tw.sample_path_many(prof, 7, 1, np.random.default_rng(np.random.SeedSequence(8)))[0]
+    assert [r[2] for r in rows[1:]] == [f"{v:.17g}" for v in values]
 
     # rows formatted in blocks of 3 and of 1 give the same bytes
     import treewaves.cli as cli_mod

@@ -140,21 +140,6 @@ def test_sample_truncated_hard_branch_moments():
     assert draws.mean() == pytest.approx(exact_mean, abs=4 * draws.std() / np.sqrt(1e5))
 
 
-def test_sample_truncated_affine_and_degenerate():
-    t = tw.TruncatedGaussian(2.0, 4.0, 3.0)
-    rng = np.random.default_rng(14)
-    draws = np.array([tw.sample_truncated(t, rng) for _ in range(20_000)])
-    assert draws.min() >= 3.0
-    # standardized threshold (3-2)/2 = 0.5
-    exact_mean = 2.0 + 2.0 * np.exp(-0.125) / np.sqrt(2 * np.pi) / ndtr(-0.5)
-    assert draws.mean() == pytest.approx(exact_mean, abs=4 * draws.std() / np.sqrt(2e4))
-
-    point = tw.TruncatedGaussian(1.0, 0.0, 0.5)
-    assert tw.sample_truncated(point, rng) == 1.0
-    with pytest.raises(ValidationError):
-        tw.sample_truncated(tw.TruncatedGaussian(1.0, 0.0, 2.0), rng)
-
-
 def test_orthant_arcsin_identity():
     for rho in (-0.95, -0.5, 0.0, 0.3, 0.8, 0.99):
         got = tw.orthant_edge_probability(rho, 0.0)

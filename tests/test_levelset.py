@@ -128,7 +128,7 @@ def test_survival_direct_matches_tail_probability():
 def test_smc_agrees_with_direct():
     prof = _profile()
     direct = tw.survival_direct(prof, 4, 0.3, 400_000, np.random.default_rng(17))
-    smc = tw.survival_smc(prof, 4, 0.3, 40_000, np.random.default_rng(18))
+    smc = tw.survival_curve_smc(prof, 4, 0.3, 40_000, np.random.default_rng(18)).estimate(4)
     se = np.hypot(direct.stderr, smc.stderr)
     assert abs(direct.p_hat - smc.p_hat) <= 4.5 * se
     assert smc.method == "smc"
@@ -148,7 +148,7 @@ def test_survival_curve_prefix_consistency():
 
 def test_smc_collapse_flag():
     prof = _profile()
-    est = tw.survival_smc(prof, 12, 3.5, 100, np.random.default_rng(20))
+    est = tw.survival_curve_smc(prof, 12, 3.5, 100, np.random.default_rng(20)).estimate(12)
     assert est.collapsed
     assert est.p_hat == 0.0
 
@@ -160,20 +160,6 @@ def test_smc_validation():
         tw.survival_curve_smc(prof, 5, 0.0, 50, rng)
     with pytest.raises(ValidationError):
         tw.survival_curve_smc(prof, 0, 0.0, 1000, rng)
-
-
-def test_conditioned_survival_basics():
-    prof = _profile()
-    rng = np.random.default_rng(23)
-    est2 = tw.conditioned_survival(prof, 2, 0.0, 0.5, 0.7, 10_000, rng)
-    assert est2.p_hat == 1.0  # the conditioned pair is already above the level
-    a = tw.conditioned_survival(prof, 8, 0.0, 0.5, 0.7, 40_000, np.random.default_rng(24))
-    b = tw.conditioned_survival(prof, 8, 0.0, 0.5, 0.7, 80_000, np.random.default_rng(25))
-    assert abs(a.p_hat - b.p_hat) <= 4.5 * np.hypot(a.stderr, b.stderr)
-    with pytest.raises(ValidationError):
-        tw.conditioned_survival(prof, 1, 0.0, 0.5, 0.7, 10_000, rng)
-    with pytest.raises(ValidationError):
-        tw.conditioned_survival(prof, 5, 1.0, 0.5, 0.7, 10_000, rng)
 
 
 def test_transfer_rate_limits_and_monotonicity():
@@ -300,3 +286,18 @@ def test_ratio_bounds_structure():
         ])
         se = np.sqrt((nbat - 1) / nbat * ((jack - jack.mean()) ** 2).sum())
         assert e.stderr == pytest.approx(se, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "alpha, n, m, reps",
+    [
+        (3.0, 8, 8, 1000),  # every length of the ratio is dead
+        (1.0, 2, 8, 200),  # only the numerator P(n + m) is dead
+    ],
+)
+def test_ratio_bounds_dead_curve_raises(alpha, n, m, reps):
+    prof = _profile(3, 0.0, 2)
+    curve = tw.survival_curve_smc(prof, n + m, alpha, reps, np.random.default_rng(0))
+    first = int(np.flatnonzero(curve.p_hat == 0.0)[0]) + 1
+    with pytest.raises(NumericalError, match=f"length {first} "):
+        tw.survival_ratio_bounds(prof, alpha, [n], [m], reps, np.random.default_rng(0))

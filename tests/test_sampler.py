@@ -31,11 +31,10 @@ def test_step_kernel_closed_form_grid():
 
 def test_path_sample_shapes_and_validation():
     prof = _profile()
-    ps = tw.sample_path(prof, 7, np.random.default_rng(0))
-    assert ps.values.shape == (7,)
-    assert ps.n == 7
+    vals = tw.sample_path_many(prof, 7, 1, np.random.default_rng(0))
+    assert vals.shape == (1, 7)
     with pytest.raises(ValidationError):
-        tw.sample_path(prof, 0, np.random.default_rng(0))
+        tw.sample_path_many(prof, 0, 1, np.random.default_rng(0))
     with pytest.raises(ValidationError):
         tw.sample_path_many(prof, 3, 0, np.random.default_rng(0))
 

@@ -31,25 +31,6 @@ def test_spectral_point_validation():
         tw.SpectralPoint(3, np.nan)
 
 
-def test_chebyshev_u_small_orders():
-    x = np.linspace(-1.2, 1.2, 41)
-    np.testing.assert_allclose(tw.chebyshev_u(-1, x), np.zeros_like(x), atol=0.0)
-    np.testing.assert_allclose(tw.chebyshev_u(0, x), np.ones_like(x), atol=0.0)
-    np.testing.assert_allclose(tw.chebyshev_u(1, x), 2 * x, atol=0.0)
-    np.testing.assert_allclose(tw.chebyshev_u(2, x), 4 * x**2 - 1, rtol=1e-14)
-    np.testing.assert_allclose(tw.chebyshev_u(3, x), 8 * x**3 - 4 * x, rtol=1e-13, atol=1e-13)
-    assert tw.chebyshev_u(3, 0.5) == pytest.approx(-1.0, abs=1e-14)
-
-
-def test_chebyshev_u_trig_identity():
-    # U_n(cos t) = sin((n+1)t) / sin(t)
-    t = np.linspace(0.1, np.pi - 0.1, 23)
-    for n in (4, 7, 12):
-        np.testing.assert_allclose(
-            tw.chebyshev_u(n, np.cos(t)), np.sin((n + 1) * t) / np.sin(t), rtol=1e-11, atol=1e-11
-        )
-
-
 def test_profile_low_orders_closed_form():
     for d in (3, 4, 5):
         edge = tw.spectral_edge(d)
