@@ -258,8 +258,6 @@ def _cmd_gibbs(args) -> int:
         plan, args.alpha, args.sweeps, args.burnin, args.thin, rng, args.chains
     )
     chains, kept, n = states.shape
-    if kept == 0:
-        raise ValidationError("no retained sweeps: raise sweeps or lower burnin/thin")
     center = (n + 1) // 2
     if args.tail_grid:
         grid = _float_list(args.tail_grid, "--tail-grid")

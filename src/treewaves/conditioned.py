@@ -142,8 +142,11 @@ def gibbs_run(
         raise ValidationError(f"sweeps must be >= 1, got {sweeps}")
     if burnin < 0 or thin < 1 or chains < 1:
         raise ValidationError("need burnin >= 0, thin >= 1, chains >= 1")
-    if sweeps <= burnin:
-        raise ValidationError(f"sweeps ({sweeps}) must exceed burnin ({burnin})")
+    if sweeps - burnin < thin:
+        raise ValidationError(
+            f"no retained sweeps: sweeps - burnin ({sweeps - burnin}) is below "
+            f"thin ({thin}); raise sweeps or lower burnin/thin"
+        )
     n = plan.n
     sd = np.sqrt(plan.sigma2)
     # Coordinate k sits in column k + 2 of the zero-padded state; each colour

@@ -27,7 +27,7 @@ from scipy.optimize import brentq
 
 from .errors import NumericalError, ValidationError
 from .gaussian import orthant_edge_probability
-from .sampler import BallSample, path_step_kernel, sample_path_many
+from .sampler import BallSample, path_step_kernel, path_step_table, sample_path_many
 from .spectral import CovarianceProfile
 
 # Power iteration control for the transfer operator.
@@ -227,16 +227,8 @@ def survival_curve_smc(
         raise ValidationError(f"batches must be >= 2, got {batches}")
     nbat = max(2, min(batches, particles // 50))
     per = particles // nbat
-    # Coordinate 1 is N(0, 1), coordinate 2 is its phi(1)-correlated
-    # successor, and the order-2 Markov kernel carries on from there.
-    steps = [(0.0, 0.0, 1.0)]
-    if n_max >= 2:
-        phi1 = profile.require(1)
-        steps.append((0.0, phi1, math.sqrt(1.0 - phi1 * phi1)))
-    if n_max >= 3:
-        kern = path_step_kernel(profile)
-        steps += [(kern.b1, kern.b2, math.sqrt(kern.sigma2))] * (n_max - 2)
-    batch_estimates = np.cumprod(_smc_factors(nbat, per, steps, alpha, rng), axis=1)
+    factors = _smc_factors(nbat, per, path_step_table(profile, n_max), alpha, rng)
+    batch_estimates = np.cumprod(factors, axis=1)
     # Bootstrap over batches for the standard error of the batch mean.
     draws = rng.integers(0, nbat, (_BOOTSTRAP_RESAMPLES, nbat))
     return SurvivalCurve(
@@ -454,7 +446,9 @@ def survival_ratio_bounds(
     One SMC curve run covers every length; ratios use the per-batch prefix
     products so shared factors cancel within a batch, and the stderr is a
     leave-one-batch-out jackknife.  Raises NumericalError when every batch
-    dies before the longest length n + m.
+    dies before the longest length n + m, or when fewer than two batches are
+    alive at a denominator length n or m: a leave-one-out mean there is 0
+    and the jackknife ratio 0/0.
     """
     n_list = [int(v) for v in n_list]
     m_list = [int(v) for v in m_list]
@@ -474,6 +468,13 @@ def survival_ratio_bounds(
         )
     be = curve.batch_estimates
     nbat = be.shape[0]
+    alive = np.count_nonzero(be > 0.0, axis=0)
+    for n in sorted(set(n_list + m_list)):
+        if alive[n - 1] < 2:
+            raise NumericalError(
+                f"{alive[n - 1]} of {nbat} SMC batches alive at length {n} at "
+                f"alpha={alpha!r}: the jackknife needs two; raise reps or lower alpha"
+            )
 
     def loo(x: np.ndarray) -> np.ndarray:
         """Leave-one-batch-out means."""

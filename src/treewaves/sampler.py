@@ -4,18 +4,24 @@ Two routes produce a ball sample:
 
 * dense: assemble the full ball covariance and draw through its rank-aware
   eigenvalue factor;
-* recursive: draw the root, then the first shell given the root, then each
-  family of children given (vertex, parent).  The order-2 Markov property of
-  the process along geodesics makes these local conditionals exact, and the
-  per-family residual blocks are identical across the ball, so they are
-  factored once and every family of a shell is drawn in one step.
+* recursive: draw the root, then each family of children given (vertex,
+  parent), from the root outward.  Every realization solves the eigenvalue
+  equation lambda psi(v) = sum of the neighbours of v, and the process is
+  order-2 Markov along geodesics, so the law of the `fan` children of v given
+  psi(v) and psi(parent v) is exact and in closed form: mean
+  (lambda psi(v) - psi(parent v)) / fan for each child, residual covariance
+  (1 - phi(2)) (I - J / fan).  `fan` is d at the root, which has no parent
+  (value 0), and d - 1 elsewhere.  A family is drawn as its mean plus
+  sqrt(1 - phi(2)) (z - mean z) for fan standard normals z; no matrix is
+  factored, and every family of a shell is drawn in one step.
 
 Both routes sample the same law; the recursive one satisfies the local wave
 identities by construction and scales linearly in the ball size.
 
 A geodesic path is order-2 Markov: given the two previous coordinates the next
 one is Gaussian with mean b1 * (two back) + b2 * (one back).  `path_step_kernel`
-exposes those weights; `sample_path_many` iterates them over a batch of
+exposes those weights, `path_step_table` the (b1, b2, sd) of every coordinate
+from the first, and `sample_path_many` iterates the table over a batch of
 independent paths.
 """
 
@@ -27,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .gaussian import PsdFactor, assemble_covariance, factor_psd
+from .gaussian import assemble_covariance, factor_psd
 from .spectral import CovarianceProfile
 from .tree import Ball, enumerate_ball
 
@@ -82,6 +88,24 @@ def path_step_kernel(profile: CovarianceProfile) -> StepKernel:
     return StepKernel(b1=b1, b2=b2, sigma2=sigma2)
 
 
+def path_step_table(
+    profile: CovarianceProfile, n: int
+) -> list[tuple[float, float, float]]:
+    """(b1, b2, sd) for each of n path coordinates: coordinate k is
+    b1 * (coordinate k-2) + b2 * (coordinate k-1) + sd * N(0, 1), with zeros
+    before the path.  Coordinate 1 is N(0, 1), coordinate 2 its
+    phi(1)-correlated successor, and the order-2 kernel carries on from there.
+    """
+    steps = [(0.0, 0.0, 1.0)]
+    if n >= 2:
+        phi1 = profile.require(1)
+        steps.append((0.0, phi1, math.sqrt(1.0 - phi1 * phi1)))
+    if n >= 3:
+        kern = path_step_kernel(profile)
+        steps += [(kern.b1, kern.b2, math.sqrt(kern.sigma2))] * (n - 2)
+    return steps
+
+
 def sample_path_many(
     profile: CovarianceProfile, n: int, reps: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -91,19 +115,12 @@ def sample_path_many(
     if reps < 1:
         raise ValidationError(f"reps must be >= 1, got {reps}")
     out = np.empty((reps, n))
-    out[:, 0] = rng.standard_normal(reps)
-    if n >= 2:
-        phi1 = profile.require(1)
-        out[:, 1] = phi1 * out[:, 0] + math.sqrt(1.0 - phi1 * phi1) * rng.standard_normal(reps)
-    if n >= 3:
-        kern = path_step_kernel(profile)
-        sd = math.sqrt(kern.sigma2)
-        for k in range(2, n):
-            out[:, k] = (
-                kern.b1 * out[:, k - 2]
-                + kern.b2 * out[:, k - 1]
-                + sd * rng.standard_normal(reps)
-            )
+    prev = cur = 0.0  # no coordinates before the path
+    for k, (b1, b2, sd) in enumerate(path_step_table(profile, n)):
+        noise = rng.standard_normal(reps)
+        noise *= sd
+        np.add(b1 * prev + b2 * cur, noise, out=out[:, k])
+        prev, cur = cur, out[:, k]
     return out
 
 
@@ -126,76 +143,32 @@ def sample_ball_dense(
     return BallSample(profile=profile, ball=ball, values=values[0], sampler="dense")
 
 
-@dataclass(frozen=True)
-class _RecursiveBlocks:
-    """Precomputed conditional blocks reused across a recursive ball draw."""
-
-    shell_mean_coeff: float  # first shell mean = phi(1) * root
-    shell_factor: PsdFactor
-    child_coeff_parent: float  # child mean = cp * grandparent + cv * vertex
-    child_coeff_vertex: float
-    child_factor: PsdFactor
-
-
-def _recursive_blocks(profile: CovarianceProfile) -> _RecursiveBlocks:
-    d = profile.point.d
-    phi1 = profile.require(1)
-    phi2 = profile.require(2)
-    # First shell given the root: exchangeable residual with a zero mode along
-    # the all-ones direction (the wave identity at the root).
-    size = d
-    diag = 1.0 - phi1 * phi1
-    off = phi2 - phi1 * phi1
-    shell = np.full((size, size), off)
-    np.fill_diagonal(shell, diag)
-    shell_factor = factor_psd(shell)
-    # Children of v given (v, parent): the step kernel gives the mean weights,
-    # and the shared conditional covariance is again exchangeable with a zero
-    # row-sum mode (the wave identity at v).
-    kern = path_step_kernel(profile)
-    q = kern.b1 * phi2 + kern.b2 * phi1  # = 1 - sigma2
-    fam = d - 1
-    child = np.full((fam, fam), phi2 - q)
-    np.fill_diagonal(child, kern.sigma2)
-    child_factor = factor_psd(child)
-    return _RecursiveBlocks(
-        shell_mean_coeff=phi1,
-        shell_factor=shell_factor,
-        child_coeff_parent=kern.b1,
-        child_coeff_vertex=kern.b2,
-        child_factor=child_factor,
-    )
-
-
 def sample_ball_recursive_many(
     profile: CovarianceProfile, r: int, reps: int, rng: np.random.Generator
 ) -> tuple[Ball, np.ndarray]:
     """reps independent recursive ball draws stacked as a (reps, ball size) matrix."""
     if reps < 1:
         raise ValidationError(f"reps must be >= 1, got {reps}")
-    d = profile.point.d
+    d, lam = profile.point.d, profile.point.lam
     ball = enumerate_ball(d, r)
     values = np.empty((reps, len(ball)))
     values[:, 0] = rng.standard_normal(reps)
-    if r == 0:
-        return ball, values
-    blocks = _recursive_blocks(profile)
-    shell = ball.sphere_slice(1)
-    values[:, shell] = (
-        blocks.shell_mean_coeff * values[:, [0]] + blocks.shell_factor.draw(rng, reps)
-    )
-    for depth in range(1, r):
+    sd = math.sqrt(1.0 - profile.require(2))
+    for depth in range(r):
         cur = ball.sphere_slice(depth)
         n_k = cur.stop - cur.start
-        mean = (
-            blocks.child_coeff_parent * values[:, ball.parent[cur]]
-            + blocks.child_coeff_vertex * values[:, cur]
-        )
-        # Family-major draw: family i takes the i-th block of reps rows, the
-        # same normals as one draw per family in BFS order.
-        noise = blocks.child_factor.draw(rng, n_k * reps).reshape(n_k, reps, d - 1)
-        kids = mean[:, :, None] + noise.swapaxes(0, 1)
-        values[:, ball.sphere_slice(depth + 1)] = kids.reshape(reps, n_k * (d - 1))
+        fan = d if depth == 0 else d - 1
+        parent = values[:, ball.parent[cur]] if depth else 0.0
+        mean = (lam * values[:, cur] - parent) / fan
+        # Family-major normals: family i takes the i-th block of reps rows,
+        # the same normals as one draw per family in BFS order.  In place,
+        # z becomes mean + sd * (z - mean z).
+        z = rng.standard_normal((n_k, reps, fan))
+        shift = mean.T - (sd / fan) * (z @ np.ones(fan))
+        z *= sd
+        z += shift[:, :, None]
+        kids = ball.sphere_slice(depth + 1)
+        values[:, kids] = z.swapaxes(0, 1).reshape(reps, n_k * fan)
     return ball, values
 
 

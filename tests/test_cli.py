@@ -79,6 +79,19 @@ def test_sample_path_budget_rejected_before_any_work(monkeypatch, capsys):
     assert run(["sample-path", "--d", "3", "--lambda", "0", "--n", "5"]) == 1
 
 
+def test_gibbs_without_retained_sweeps_rejected_before_any_sweep(monkeypatch, capsys):
+    import treewaves.conditioned as conditioned_mod
+
+    def boom(*a, **k):
+        raise RuntimeError("sweep ran")
+
+    monkeypatch.setattr(conditioned_mod, "truncated_standard", boom)
+    argv = ["gibbs", "--d", "3", "--lambda", "0", "--alpha", "0", "--n", "40",
+            "--sweeps", "20000", "--burnin", "19995", "--thin", "10", "--chains", "8"]
+    assert run(argv) == 2
+    assert "no retained sweeps" in capsys.readouterr().err
+
+
 def test_dense_ball_budget_rejected_before_covariance(tmp_path, monkeypatch, capsys):
     import treewaves.sampler as sampler_mod
 

@@ -80,17 +80,29 @@ def test_gibbs_run_shapes_and_support():
     assert states.min() > 0.5
 
 
-def test_gibbs_run_validation():
+def test_gibbs_run_validation(monkeypatch):
+    import treewaves.conditioned as conditioned_mod
+
+    def boom(*a, **k):
+        raise RuntimeError("sweep ran")
+
     plan = tw.build_gibbs_plan(_profile(), 5)
     rng = np.random.default_rng(0)
+    # every rejection comes before the first sweep draws anything
+    monkeypatch.setattr(conditioned_mod, "truncated_standard", boom)
     with pytest.raises(ValidationError):
         tw.gibbs_run(plan, 0.0, 50)  # generator is required
-    with pytest.raises(ValidationError):
-        tw.gibbs_run(plan, 0.0, 100, burnin=100, rng=rng)
     with pytest.raises(ValidationError):
         tw.gibbs_run(plan, 0.0, 100, burnin=10, thin=0, rng=rng)
     with pytest.raises(ValidationError):
         tw.gibbs_run(plan, 0.0, 100, burnin=10, chains=0, rng=rng)
+    for sweeps, burnin, thin in ((20000, 19995, 10), (100, 100, 1), (50, 60, 1), (29, 20, 10)):
+        with pytest.raises(ValidationError, match="no retained sweeps"):
+            tw.gibbs_run(plan, 0.0, sweeps, burnin=burnin, thin=thin, rng=rng)
+    monkeypatch.undo()
+    # exactly one thinning interval after burn-in keeps one state
+    states = tw.gibbs_run(plan, 0.0, 30, burnin=20, thin=10, rng=rng, chains=2)
+    assert states.shape == (2, 1, 5)
 
 
 def test_gibbs_run_deterministic():

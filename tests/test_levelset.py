@@ -301,3 +301,15 @@ def test_ratio_bounds_dead_curve_raises(alpha, n, m, reps):
     first = int(np.flatnonzero(curve.p_hat == 0.0)[0]) + 1
     with pytest.raises(NumericalError, match=f"length {first} "):
         tw.survival_ratio_bounds(prof, alpha, [n], [m], reps, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("alpha, seed", [(0.8, 10), (0.8, 17), (1.0, 0), (1.0, 4)])
+def test_ratio_bounds_single_live_batch_raises(alpha, seed):
+    # one of four batches alive at the denominator length 6: its leave-one-out
+    # mean is 0, so the jackknife would divide 0 by 0
+    prof = _profile(3, 0.0, 2)
+    curve = tw.survival_curve_smc(prof, 8, alpha, 200, np.random.default_rng(seed))
+    assert np.count_nonzero(curve.batch_estimates[:, 5]) == 1
+    assert curve.p_hat[-1] > 0.0
+    with pytest.raises(NumericalError, match="alive at length 6 "):
+        tw.survival_ratio_bounds(prof, alpha, [2], [6], 200, np.random.default_rng(seed))

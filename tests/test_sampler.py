@@ -122,22 +122,25 @@ def test_recursive_matches_dense_covariance():
 
 
 def _recursive_reference(prof, r, reps, rng):
-    """The recursive sampler drawn one family at a time over tuple-address lookups."""
-    d = prof.point.d
+    """The recursive sampler drawn one family at a time over tuple-address lookups.
+
+    The fan children of v given (v, parent) have mean (lambda v - parent) / fan
+    and residual (1 - phi(2)) (I - J / fan); the root has fan d and no parent.
+    """
+    d, lam = prof.point.d, prof.point.lam
+    sd = np.sqrt(1.0 - prof.phi[2])
     verts = ball_addresses(d, r)
     index = address_index(verts)
-    blocks = tw.sampler._recursive_blocks(prof)
     vals = np.empty((reps, len(verts)))
     vals[:, 0] = rng.standard_normal(reps)
-    vals[:, 1 : d + 1] = blocks.shell_mean_coeff * vals[:, [0]] + blocks.shell_factor.draw(rng, reps)
     for i, v in enumerate(verts):
-        if 1 <= len(v) < r:
-            kids = [index[v + (c,)] for c in range(d - 1)]
-            mean = (
-                blocks.child_coeff_parent * vals[:, [index[v[:-1]]]]
-                + blocks.child_coeff_vertex * vals[:, [i]]
-            )
-            vals[:, kids] = mean + blocks.child_factor.draw(rng, reps)
+        if len(v) < r:
+            fan = d if i == 0 else d - 1
+            kids = [index[v + (c,)] for c in range(fan)]
+            parent = vals[:, index[v[:-1]]] if i else 0.0
+            mean = (lam * vals[:, i] - parent) / fan
+            z = rng.standard_normal((reps, fan))
+            vals[:, kids] = mean[:, None] + sd * (z - z.mean(axis=1, keepdims=True))
     return vals
 
 
@@ -148,6 +151,52 @@ def test_recursive_matches_per_family_reference():
         _, got = tw.sample_ball_recursive_many(prof, r, reps, np.random.default_rng(31))
         ref = _recursive_reference(prof, r, reps, np.random.default_rng(31))
         np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("d", range(3, 13))
+def test_family_law_is_the_closed_form(d):
+    # oracle: Schur conditioning of the assembled radius-3 ball covariance.
+    # Given (v, parent), the fan children of v have mean weights
+    # (lambda, -1) / fan and residual (1 - phi(2)) (I - J / fan); the root's
+    # family has fan d and no parent, and a grandparent adds nothing.
+    ball = tw.enumerate_ball(d, 3)
+    edge = tw.spectral_edge(d)
+    for lam in np.linspace(-edge, edge, 7):
+        prof = _profile(d, float(lam), 6)
+        cov = tw.assemble_covariance(prof, ball)
+        q = 1.0 - prof.phi[2]
+        w = d + 1  # first vertex of the second shell: parent 1, grandparent 0
+        for given, weights, fan in (
+            ([0], [lam], d),
+            ([1, 0], [lam, -1.0], d - 1),
+            ([w, 1, 0], [lam, -1.0, 0.0], d - 1),
+        ):
+            kids = np.flatnonzero(ball.parent == given[0])
+            cond = tw.conditional(cov, given=given, target=kids)
+            np.testing.assert_allclose(
+                cond.coeff, np.tile(weights, (fan, 1)) / fan, rtol=0.0, atol=1e-12
+            )
+            np.testing.assert_allclose(
+                cond.residual, q * (np.eye(fan) - 1.0 / fan), rtol=0.0, atol=1e-12
+            )
+
+
+def test_recursive_sampler_factors_no_matrix(monkeypatch):
+    import treewaves.gaussian as gaussian_mod
+    import treewaves.sampler as sampler_mod
+
+    def boom(*a, **k):
+        raise RuntimeError("matrix factored")
+
+    monkeypatch.setattr(sampler_mod, "factor_psd", boom)
+    monkeypatch.setattr(gaussian_mod, "factor_psd", boom)
+    monkeypatch.setattr(np.linalg, "eigh", boom)
+    for d, r in ((3, 0), (3, 1), (4, 3), (11, 2)):
+        prof = _profile(d, 0.4, 2 * max(r, 1))
+        ball, vals = tw.sample_ball_recursive_many(prof, r, 3, np.random.default_rng(d))
+        assert vals.shape == (3, len(ball))
+        s = tw.BallSample(profile=prof, ball=ball, values=vals[0], sampler="recursive")
+        assert tw.verify_eigen_residual(s) <= 1e-10 * max(1.0, tw.sample_scale(s))
 
 
 def test_eigen_residual_matches_vertex_loop():
