@@ -4,6 +4,12 @@ Subcommands cover the library surface: covariance profiles, ball and path
 samples, wave-identity verification, conditioned Gibbs runs, survival
 estimates, rate curves, the critical threshold, and its rigorous bracket.
 
+Each subcommand returns its document and writes nothing: a payload dict for a
+JSON summary, or a (metadata, columns) pair for a CSV table.  `run` adds the
+common header (schema version, tool, d, lambda, seed), serializes the document
+and writes it to --out or stdout; only `gibbs --out-chain` writes a second
+table itself.
+
 Outputs are deterministic for fixed (seed, flags): no timestamps, floats
 printed with 17 significant digits and '.' as the decimal separator, fixed key
 order, '\n' line endings.  Tables are CSV with a '#'-prefixed metadata block
@@ -60,17 +66,8 @@ M_HELP = (
     "quadrature nodes per axis, >= 16; memory grows like m^2 (under 8 MB at "
     "m=256) and time like m^3"
 )
-
-
-def _fmt(value) -> str:
-    """Render one scalar for CSV output."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
-    return str(value)
+# What a subcommand returns: a JSON payload, or CSV (metadata, columns).
+Document = dict | tuple[dict, dict]
 
 
 def _json_text(obj, indent: int = 0) -> str:
@@ -143,7 +140,8 @@ def _csv_chunks(args, meta: dict, columns: dict) -> Iterator[str]:
     Rows are formatted and yielded CSV_BLOCK_ROWS at a time, so no full copy
     of a large table is ever held as text.
     """
-    lines = [f"# {k}={_fmt(v)}" for k, v in _summary(args, meta).items()]
+    lines = [f"# {k}={v if isinstance(v, str) else _json_text(v)}"
+             for k, v in _summary(args, meta).items()]
     lines.append(",".join(columns))
     yield "\n".join(lines) + "\n"
     size = len(next(iter(columns.values())))
@@ -153,11 +151,15 @@ def _csv_chunks(args, meta: dict, columns: dict) -> Iterator[str]:
 
 
 def _float_list(text: str, flag: str) -> list[float]:
-    """A comma list of numbers; a malformed entry is invalid input."""
+    """A comma list of finite numbers; any other entry is invalid input."""
+    error = ValidationError(f"{flag} takes a comma list of finite numbers, got {text!r}")
     try:
-        return [float(tok) for tok in text.split(",")]
+        values = [float(tok) for tok in text.split(",")]
     except ValueError:
-        raise ValidationError(f"{flag} takes a comma list of numbers, got {text!r}") from None
+        raise error from None
+    if not all(map(math.isfinite, values)):
+        raise error
+    return values
 
 
 def _rng(args) -> np.random.Generator:
@@ -179,26 +181,23 @@ def _add_common(sub: argparse.ArgumentParser, seed: bool = True) -> None:
     sub.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
-def _cmd_profile(args) -> int:
+def _cmd_profile(args) -> Document:
     profile = build_profile(_point(args), args.n)
     columns = {"n": np.arange(profile.n_max + 1), "phi": profile.phi}
-    _emit(_csv_chunks(args, {"big_phi": profile.big_phi}, columns), args.out)
-    return 0
+    return {"big_phi": profile.big_phi}, columns
 
 
-def _cmd_sample_ball(args) -> int:
+def _cmd_sample_ball(args) -> Document:
     profile = build_profile(_point(args), max(2, 2 * args.radius))
     rng = _rng(args)
     draw = sample_ball_dense if args.sampler == "dense" else sample_ball_recursive
     sample = draw(profile, args.radius, rng)
     ball = sample.ball
     columns = {"vertex": ball.addresses(), "depth": ball.depth, "value": sample.values}
-    _emit(_csv_chunks(args, {"sampler": sample.sampler, "radius": args.radius}, columns),
-          args.out)
-    return 0
+    return {"sampler": sample.sampler, "radius": args.radius}, columns
 
 
-def _cmd_sample_path(args) -> int:
+def _cmd_sample_path(args) -> Document:
     if args.n > PATH_CSV_MAX_N:
         raise ValidationError(f"path length {args.n} over the budget of {PATH_CSV_MAX_N}")
     profile = build_profile(_point(args), max(2, args.n - 1))
@@ -207,11 +206,10 @@ def _cmd_sample_path(args) -> int:
     # the path follows child 0 from the root
     addresses = [""] + ["0" + "/0" * (k - 1) for k in range(1, args.n)]
     columns = {"vertex": addresses, "depth": np.arange(args.n), "value": values}
-    _emit(_csv_chunks(args, {"sampler": "path", "n": args.n}, columns), args.out)
-    return 0
+    return {"sampler": "path", "n": args.n}, columns
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> Document:
     if args.reps < 1:
         raise ValidationError(f"--reps must be >= 1, got {args.reps}")
     profile = build_profile(_point(args), max(2, 2 * args.radius))
@@ -242,15 +240,14 @@ def _cmd_verify(args) -> int:
                 "pass": ok,
             }
         )
-    doc = _summary(
-        args,
-        {"radius": args.radius, "reps": args.reps, "results": results, "pass": all_pass},
-    )
-    _emit([_json_text(doc), "\n"], args.out)
-    return 0
+    return {"radius": args.radius, "reps": args.reps, "results": results, "pass": all_pass}
 
 
-def _cmd_gibbs(args) -> int:
+def _cmd_gibbs(args) -> Document:
+    if args.tail_grid:
+        grid = _float_list(args.tail_grid, "--tail-grid")
+    else:
+        grid = [args.alpha + off for off in (0.5, 1.0, 1.5, 2.0)]
     profile = build_profile(_point(args), 4)
     plan = build_gibbs_plan(profile, args.n)
     rng = _rng(args)
@@ -259,11 +256,9 @@ def _cmd_gibbs(args) -> int:
     )
     chains, kept, n = states.shape
     center = (n + 1) // 2
-    if args.tail_grid:
-        grid = _float_list(args.tail_grid, "--tail-grid")
-    else:
-        grid = [args.alpha + off for off in (0.5, 1.0, 1.5, 2.0)]
     tail = repulsion_tail(states, center, grid)
+    meta = {"n": n, "alpha": args.alpha, "sweeps": args.sweeps,
+            "burnin": args.burnin, "thin": args.thin, "chains": chains}
     if args.out_chain is not None:
         # chain-major rows; the chain column only when there are several
         chain, t, k = (a.ravel() for a in np.indices(states.shape))
@@ -271,32 +266,18 @@ def _cmd_gibbs(args) -> int:
                    "coordinate": k + 1, "value": states.ravel()}
         if chains == 1:
             del columns["chain"]
-        meta = {"n": n, "alpha": args.alpha, "sweeps": args.sweeps,
-                "burnin": args.burnin, "thin": args.thin, "chains": chains}
         _emit(_csv_chunks(args, meta, columns), args.out_chain)
-    doc = _summary(
-        args,
-        {
-            "n": n,
-            "alpha": args.alpha,
-            "sweeps": args.sweeps,
-            "burnin": args.burnin,
-            "thin": args.thin,
-            "chains": chains,
-            "retained": chains * kept,
-            "center_coordinate": center,
-            "center_mean": float(states[:, :, center - 1].mean()),
-            "ess": tail.ess,
-            "tail": [
-                {"x": p.x, "p_hat": p.p_hat, "stderr": p.stderr} for p in tail.points
-            ],
-        },
-    )
-    _emit([_json_text(doc), "\n"], args.out)
-    return 0
+    return {
+        **meta,
+        "retained": chains * kept,
+        "center_coordinate": center,
+        "center_mean": float(states[:, :, center - 1].mean()),
+        "ess": tail.ess,
+        "tail": [{"x": p.x, "p_hat": p.p_hat, "stderr": p.stderr} for p in tail.points],
+    }
 
 
-def _cmd_survival(args) -> int:
+def _cmd_survival(args) -> Document:
     profile = build_profile(_point(args), max(2, args.n - 1))
     rng = _rng(args)
     if args.method == "direct":
@@ -305,20 +286,15 @@ def _cmd_survival(args) -> int:
         est = survival_curve_smc(
             profile, args.n, args.alpha, args.particles, rng, args.batches
         ).estimate(args.n)
-    doc = _summary(
-        args,
-        {
-            "n": est.n,
-            "alpha": est.alpha,
-            "method": est.method,
-            "reps": est.reps,
-            "p_hat": est.p_hat,
-            "stderr": est.stderr,
-            "collapsed": est.collapsed,
-        },
-    )
-    _emit([_json_text(doc), "\n"], args.out)
-    return 0
+    return {
+        "n": est.n,
+        "alpha": est.alpha,
+        "method": est.method,
+        "reps": est.reps,
+        "p_hat": est.p_hat,
+        "stderr": est.stderr,
+        "collapsed": est.collapsed,
+    }
 
 
 def _parse_alpha_grid(args) -> list[float]:
@@ -326,57 +302,47 @@ def _parse_alpha_grid(args) -> list[float]:
         return _float_list(args.alphas, "--alphas")
     if args.alpha_steps < 2:
         raise ValidationError("--alpha-steps must be >= 2")
+    if not (math.isfinite(args.alpha_min) and math.isfinite(args.alpha_max)):
+        raise ValidationError("--alpha-min and --alpha-max must be finite")
     if not args.alpha_max > args.alpha_min:
         raise ValidationError("--alpha-max must exceed --alpha-min")
     return list(np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps))
 
 
-def _cmd_rate(args) -> int:
-    profile = build_profile(_point(args), 2)
+def _cmd_rate(args) -> Document:
     grid = np.array(_parse_alpha_grid(args), dtype=float)
+    profile = build_profile(_point(args), 2)
     r, r_coarse = (
         np.array([transfer_rate(profile, alpha, m, args.u_max_offset) for alpha in grid])
         for m in (args.m, max(16, args.m // 2))
     )
     columns = {"alpha": grid, "r": r, "stderr_or_tol": np.abs(r - r_coarse)}
-    _emit(_csv_chunks(args, {"m": args.m, "u_max_offset": args.u_max_offset}, columns),
-          args.out)
-    return 0
+    return {"m": args.m, "u_max_offset": args.u_max_offset}, columns
 
 
-def _cmd_threshold(args) -> int:
+def _cmd_threshold(args) -> Document:
     profile = build_profile(_point(args), 2)
     lo = haggstrom_alpha(profile)
     hi = expdec_alpha(profile)
     alpha_c = critical_threshold(profile, args.tol, args.m, args.u_max_offset)
     rate_at = transfer_rate(profile, alpha_c, args.m, args.u_max_offset)
-    doc = _summary(
-        args,
-        {
-            "alpha_c": alpha_c,
-            "bracket": {"haggstrom": lo, "expdec": hi},
-            "rate_at_alpha_c": rate_at,
-            "target_rate": 1.0 / (args.d - 1.0),
-            "quadrature": {"m": args.m, "u_max_offset": args.u_max_offset},
-            "tol": args.tol,
-        },
-    )
-    _emit([_json_text(doc), "\n"], args.out)
-    return 0
+    return {
+        "alpha_c": alpha_c,
+        "bracket": {"haggstrom": lo, "expdec": hi},
+        "rate_at_alpha_c": rate_at,
+        "target_rate": 1.0 / (args.d - 1.0),
+        "quadrature": {"m": args.m, "u_max_offset": args.u_max_offset},
+        "tol": args.tol,
+    }
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> Document:
     profile = build_profile(_point(args), 2)
-    doc = _summary(
-        args,
-        {
-            "haggstrom_alpha": haggstrom_alpha(profile),
-            "expdec_alpha": expdec_alpha(profile),
-            "big_phi": profile.big_phi,
-        },
-    )
-    _emit([_json_text(doc), "\n"], args.out)
-    return 0
+    return {
+        "haggstrom_alpha": haggstrom_alpha(profile),
+        "expdec_alpha": expdec_alpha(profile),
+        "big_phi": profile.big_phi,
+    }
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -464,13 +430,19 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        doc = args.func(args)
+        if isinstance(doc, dict):
+            chunks = [_json_text(_summary(args, doc)), "\n"]
+        else:
+            chunks = _csv_chunks(args, *doc)
+        _emit(chunks, args.out)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime trouble: numerical failures, IO, ...
         print(f"failure: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def main() -> None:

@@ -263,9 +263,9 @@ def transfer_rate(
         at m=256.  Each power iteration is nb matrix products, m^3 flops in
         all.
     u_max_offset : float
-        Domain headroom above the level.  The conditioned chain concentrates
-        within O(1) of alpha, so the truncation error decays like a Gaussian
-        tail in the offset.
+        Domain headroom above the level, finite and positive.  The conditioned
+        chain concentrates within O(1) of alpha, so the truncation error
+        decays like a Gaussian tail in the offset.
 
     Returns
     -------
@@ -292,8 +292,8 @@ def transfer_rate(
         raise ValidationError(f"quadrature size m must be >= 16, got {m}")
     if not math.isfinite(alpha):
         raise ValidationError(f"alpha must be finite, got {alpha!r}")
-    if u_max_offset <= 0.0:
-        raise ValidationError(f"u_max_offset must be > 0, got {u_max_offset}")
+    if not (math.isfinite(u_max_offset) and u_max_offset > 0.0):
+        raise ValidationError(f"u_max_offset must be finite and > 0, got {u_max_offset!r}")
     u_max = max(alpha, 0.0) + u_max_offset
     kern = path_step_kernel(profile)
     b1, b2, s2 = kern.b1, kern.b2, kern.sigma2

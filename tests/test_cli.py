@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from scipy.special import ndtr
 
 import treewaves as tw
-from treewaves.cli import PATH_CSV_MAX_N, run
+from treewaves.cli import PATH_CSV_MAX_N, _build_parser, run
 
 from tree_reference import ball_addresses, to_string
 
@@ -301,3 +302,76 @@ def test_bounds_json(tmp_path):
     assert doc["haggstrom_alpha"] == pytest.approx(-0.90209418401443608, abs=1e-9)
     assert doc["expdec_alpha"] == pytest.approx(np.sqrt(12.0), rel=1e-9)
     assert doc["big_phi"] == pytest.approx(3.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["gibbs", "--alpha", "0", "--n", "40", "--sweeps", "20000", "--tail-grid", "1,,2"],
+     "--tail-grid"),
+    (["gibbs", "--alpha", "0", "--n", "40", "--sweeps", "20000", "--tail-grid", "nan"],
+     "--tail-grid"),
+    (["gibbs", "--alpha", "0", "--n", "40", "--sweeps", "20000", "--tail-grid", "1,inf"],
+     "--tail-grid"),
+    (["rate", "--alphas=0,inf"], "--alphas"),
+    (["rate", "--alpha-min=-inf"], "--alpha-min"),
+    (["rate", "--alpha-max=inf"], "--alpha-max"),
+], ids=["tail-grid-empty-entry", "tail-grid-nan", "tail-grid-inf", "alphas-inf",
+        "alpha-min-inf", "alpha-max-inf"])
+def test_invalid_grids_rejected_before_any_work(argv, flag, monkeypatch, capsys):
+    # a non-finite grid bound used to reach np.linspace, whose RuntimeWarning
+    # the test filter turns into a runtime failure (exit 1)
+    import treewaves.cli as cli_mod
+    import treewaves.conditioned as conditioned_mod
+
+    def boom(*a, **k):
+        raise RuntimeError("work started")
+
+    monkeypatch.setattr(cli_mod, "build_profile", boom)
+    monkeypatch.setattr(conditioned_mod, "truncated_standard", boom)
+    assert run(argv[:1] + ["--d", "3", "--lambda", "0"] + argv[1:]) == 2
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["rate", "--d", "3", "--lambda", "0", "--alphas=0", "--m", "16", "--u-max-offset", "inf"],
+    ["threshold", "--d", "3", "--lambda", "0", "--m", "16", "--u-max-offset", "nan"],
+], ids=lambda argv: argv[0])
+def test_non_finite_u_max_offset_is_invalid(argv, capsys):
+    assert run(argv) == 2
+    assert "u_max_offset" in capsys.readouterr().err
+
+
+SMALL_ARGV = {
+    "profile": ["--n", "4"],
+    "sample-ball": ["--radius", "2", "--sampler", "recursive"],
+    "sample-path": ["--n", "5"],
+    "verify": ["--radius", "2", "--reps", "2"],
+    "gibbs": ["--alpha", "0", "--n", "5", "--sweeps", "30", "--burnin", "10", "--thin", "2",
+              "--chains", "2", "--out-chain", "chain.csv"],
+    "survival": ["--alpha", "0", "--n", "5", "--particles", "200", "--batches", "4"],
+    "rate": ["--alphas=0,1", "--m", "16"],
+    "threshold": ["--tol", "1e-2", "--m", "16"],
+    "bounds": [],
+}
+
+
+def _subcommands() -> list[str]:
+    parser = _build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return list(subs.choices)
+
+
+@pytest.mark.parametrize("command", _subcommands())
+def test_subcommands_return_documents_and_write_nothing(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--d", "3", "--lambda", "0", "--out", "out.txt"] + SMALL_ARGV[command]
+    args = _build_parser().parse_args(argv)
+    doc = args.func(args)
+    if isinstance(doc, tuple):
+        meta, columns = doc
+        assert isinstance(meta, dict) and isinstance(columns, dict)
+    else:
+        assert isinstance(doc, dict)
+    assert capsys.readouterr().out == ""
+    # gibbs writes its --out-chain table itself; --out belongs to run alone
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == (["chain.csv"] if command == "gibbs" else [])

@@ -183,8 +183,9 @@ def test_transfer_rate_validation():
     prof = _profile()
     with pytest.raises(ValidationError):
         tw.transfer_rate(prof, 0.0, m=8)
-    with pytest.raises(ValidationError):
-        tw.transfer_rate(prof, 0.0, u_max_offset=0.0)
+    for offset in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValidationError, match="u_max_offset"):
+            tw.transfer_rate(prof, 0.0, u_max_offset=offset)
 
 
 @pytest.mark.parametrize("d", [3, 4, 5, 8, 16])
