@@ -244,7 +244,7 @@ def _cmd_verify(args) -> Document:
 
 
 def _cmd_gibbs(args) -> Document:
-    if args.tail_grid:
+    if args.tail_grid is not None:
         grid = _float_list(args.tail_grid, "--tail-grid")
     else:
         grid = [args.alpha + off for off in (0.5, 1.0, 1.5, 2.0)]
@@ -298,7 +298,7 @@ def _cmd_survival(args) -> Document:
 
 
 def _parse_alpha_grid(args) -> list[float]:
-    if args.alphas:
+    if args.alphas is not None:
         return _float_list(args.alphas, "--alphas")
     if args.alpha_steps < 2:
         raise ValidationError("--alpha-steps must be >= 2")

@@ -355,7 +355,11 @@ def transfer_rate(
 
 
 def haggstrom_alpha(profile: CovarianceProfile) -> float:
-    """Level at which two-sided edge survival equals 2/d (percolation below)."""
+    """Level at which two-sided edge survival equals 2/d (percolation below).
+
+    brentq on [-12, 12] evaluates each end once and raises ValueError when the
+    bracket has no sign change.
+    """
     phi1 = profile.require(1)
     d = profile.point.d
     target = 2.0 / d
@@ -363,10 +367,7 @@ def haggstrom_alpha(profile: CovarianceProfile) -> float:
     def f(a: float) -> float:
         return orthant_edge_probability(phi1, a) - target
 
-    lo, hi = -12.0, 12.0
-    if not (f(lo) > 0.0 > f(hi)):
-        raise NumericalError("edge-survival root not bracketed in [-12, 12]")
-    return float(brentq(f, lo, hi, xtol=1e-12, rtol=8.9e-16))
+    return float(brentq(f, -12.0, 12.0, xtol=1e-12, rtol=8.9e-16))
 
 
 def expdec_alpha(profile: CovarianceProfile) -> float:
@@ -391,6 +392,8 @@ def critical_threshold(
     Brent's method on transfer_rate(alpha) - 1/(d-1) over the widened
     rigorous bracket [haggstrom - 1, expdec + 1], to absolute tolerance `tol`;
     the rate is strictly decreasing in alpha, so the sign change is unique.
+    brentq evaluates each bracket end once and raises ValueError when the
+    bracket has no sign change.
     """
     if not (tol > 0.0) or not math.isfinite(tol):
         raise ValidationError(f"tol must be > 0, got {tol!r}")
@@ -402,12 +405,6 @@ def critical_threshold(
     def f(a: float) -> float:
         return transfer_rate(profile, a, m, u_max_offset) - target
 
-    f_lo, f_hi = f(lo), f(hi)
-    if not (f_lo > 0.0 > f_hi):
-        raise NumericalError(
-            f"rate does not cross 1/(d-1) on [{lo:.6g}, {hi:.6g}]: "
-            f"f(lo)={f_lo:.3e}, f(hi)={f_hi:.3e}"
-        )
     return float(brentq(f, lo, hi, xtol=tol))
 
 

@@ -87,13 +87,13 @@ def enumerate_ball(d: int, r: int, max_vertices: int = DEFAULT_VERTEX_BUDGET) ->
     Rejects requests whose vertex count exceeds `max_vertices`; the count grows
     like (d-1)^r, so runaway radii fail fast instead of exhausting memory.
     """
-    count = ball_vertex_count(d, r)
-    if count > max_vertices:
-        raise ValidationError(
-            f"ball of radius {r} at d={d} holds {count} vertices, "
-            f"over the budget of {max_vertices}"
-        )
-    sizes = [sphere_size(d, k) for k in range(r + 1)]
+    if r < 0:
+        raise ValidationError(f"ball radius must be >= 0, got {r}")
+    sizes = [sphere_size(d, 0)]  # grown only while within budget: a huge r costs a few shells
+    while len(sizes) <= r and sum(sizes) <= max_vertices:
+        sizes.append(sphere_size(d, len(sizes)))
+    if sum(sizes) > max_vertices:
+        raise ValidationError(f"ball of radius {r} at d={d} is over the budget of {max_vertices}")
     starts = np.cumsum([0] + sizes)
     # Shell k repeats each shell-(k-1) index once per child.
     parent = np.concatenate(

@@ -6,6 +6,7 @@ import pytest
 from scipy.special import ndtr
 
 import treewaves as tw
+from treewaves import levelset
 from treewaves.cli import PATH_CSV_MAX_N, _build_parser, run
 
 from tree_reference import ball_addresses, to_string
@@ -113,6 +114,29 @@ def test_dense_ball_budget_rejected_before_covariance(tmp_path, monkeypatch, cap
                 "--sampler", "dense"]) == 1
     assert run(["sample-ball", "--d", "3", "--lambda", "0", "--radius", "10",
                 "--sampler", "recursive", "--out", str(tmp_path / "b.csv")]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample-ball", "--sampler", "dense"],
+    ["sample-ball", "--sampler", "recursive"],
+    ["verify", "--reps", "1"],
+], ids=["sample-ball-dense", "sample-ball-recursive", "verify"])
+def test_huge_radius_rejected_with_a_short_message(argv, capsys):
+    # the exact vertex count at this radius has 30103 digits
+    assert run(argv[:1] + ["--d", "3", "--lambda", "0", "--radius", "100000"] + argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert "budget" in err
+    assert len(err) < 200
+
+
+def test_threshold_search_errors(monkeypatch):
+    # --m is checked by the first rate call, made inside brentq
+    assert run(["threshold", "--d", "3", "--lambda", "0", "--m", "8"]) == 2
+    # a rate that never crosses 1/(d-1) leaves brentq without a sign change
+    monkeypatch.setattr(levelset, "transfer_rate", lambda *a, **k: 0.9)
+    with pytest.raises(ValueError):
+        tw.critical_threshold(tw.build_profile(tw.SpectralPoint(3, 0.0), 2))
+    assert run(["threshold", "--d", "3", "--lambda", "0"]) == 1
 
 
 def test_deterministic_commands_take_no_seed(tmp_path):
@@ -314,8 +338,11 @@ def test_bounds_json(tmp_path):
     (["rate", "--alphas=0,inf"], "--alphas"),
     (["rate", "--alpha-min=-inf"], "--alpha-min"),
     (["rate", "--alpha-max=inf"], "--alpha-max"),
+    (["gibbs", "--alpha", "0", "--n", "40", "--sweeps", "20000", "--tail-grid="],
+     "--tail-grid"),
+    (["rate", "--alphas="], "--alphas"),
 ], ids=["tail-grid-empty-entry", "tail-grid-nan", "tail-grid-inf", "alphas-inf",
-        "alpha-min-inf", "alpha-max-inf"])
+        "alpha-min-inf", "alpha-max-inf", "tail-grid-empty", "alphas-empty"])
 def test_invalid_grids_rejected_before_any_work(argv, flag, monkeypatch, capsys):
     # a non-finite grid bound used to reach np.linspace, whose RuntimeWarning
     # the test filter turns into a runtime failure (exit 1)

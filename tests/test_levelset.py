@@ -261,9 +261,23 @@ def test_critical_threshold_rate_evaluations(monkeypatch, d, lam_frac, tol):
     monkeypatch.setattr(levelset, "transfer_rate", counting_rate)
     prof = tw.build_profile(tw.SpectralPoint(d, lam_frac * tw.spectral_edge(d)), 2)
     ac = tw.critical_threshold(prof, tol=tol)
-    assert len(calls) <= 14
+    assert len(calls) <= 10
+    assert len(set(calls)) == len(calls)  # brentq sees each bracket end once
     target = 1.0 / (d - 1.0)
     assert rate(prof, ac - 2 * tol) > target > rate(prof, ac + 2 * tol)
+
+
+def test_haggstrom_alpha_evaluates_each_level_once(monkeypatch):
+    calls = []
+    prob = levelset.orthant_edge_probability
+
+    def counting_prob(rho, alpha):
+        calls.append(alpha)
+        return prob(rho, alpha)
+
+    monkeypatch.setattr(levelset, "orthant_edge_probability", counting_prob)
+    assert tw.haggstrom_alpha(_profile()) == pytest.approx(HAGGSTROM_D3_L0, abs=1e-12)
+    assert len(set(calls)) == len(calls)
 
 
 def test_ratio_bounds_structure():
