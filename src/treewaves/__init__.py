@@ -45,8 +45,7 @@ from .levelset import (
 )
 from .sampler import (
     BallSample,
-    StepKernel,
-    path_step_kernel,
+    path_step_table,
     sample_ball_dense,
     sample_ball_dense_many,
     sample_ball_recursive,

@@ -45,6 +45,7 @@ from .levelset import (
     transfer_rate,
 )
 from .sampler import (
+    DENSE_VERTEX_BUDGET,
     sample_ball_dense,
     sample_ball_recursive,
     sample_path_many,
@@ -52,7 +53,8 @@ from .sampler import (
     verify_eigen_residual,
     verify_sphere_sums,
 )
-from .spectral import SpectralPoint, build_profile
+from .spectral import CovarianceProfile, SpectralPoint, build_profile
+from .tree import DEFAULT_VERTEX_BUDGET, shell_sizes
 
 SCHEMA_VERSION = 1
 TOOL = f"treewaves {__version__}"
@@ -187,8 +189,16 @@ def _cmd_profile(args) -> Document:
     return {"big_phi": profile.big_phi}, columns
 
 
+def _ball_profile(args, dense: bool) -> CovarianceProfile:
+    """The profile to distance 2 * radius a ball sample reads, built (in time
+    linear in the radius) only once the ball fits its sampler's budget."""
+    point = _point(args)
+    shell_sizes(args.d, args.radius, DENSE_VERTEX_BUDGET if dense else DEFAULT_VERTEX_BUDGET)
+    return build_profile(point, max(2, 2 * args.radius))
+
+
 def _cmd_sample_ball(args) -> Document:
-    profile = build_profile(_point(args), max(2, 2 * args.radius))
+    profile = _ball_profile(args, dense=args.sampler == "dense")
     rng = _rng(args)
     draw = sample_ball_dense if args.sampler == "dense" else sample_ball_recursive
     sample = draw(profile, args.radius, rng)
@@ -200,7 +210,7 @@ def _cmd_sample_ball(args) -> Document:
 def _cmd_sample_path(args) -> Document:
     if args.n > PATH_CSV_MAX_N:
         raise ValidationError(f"path length {args.n} over the budget of {PATH_CSV_MAX_N}")
-    profile = build_profile(_point(args), max(2, args.n - 1))
+    profile = build_profile(_point(args), 2)  # the path steps read phi(1), phi(2)
     rng = _rng(args)
     values = sample_path_many(profile, args.n, 1, rng)[0]
     # the path follows child 0 from the root
@@ -212,7 +222,7 @@ def _cmd_sample_path(args) -> Document:
 def _cmd_verify(args) -> Document:
     if args.reps < 1:
         raise ValidationError(f"--reps must be >= 1, got {args.reps}")
-    profile = build_profile(_point(args), max(2, 2 * args.radius))
+    profile = _ball_profile(args, dense=args.sampler != "recursive")
     rng = _rng(args)
     samplers = ["dense", "recursive"] if args.sampler == "both" else [args.sampler]
     results = []
@@ -278,7 +288,7 @@ def _cmd_gibbs(args) -> Document:
 
 
 def _cmd_survival(args) -> Document:
-    profile = build_profile(_point(args), max(2, args.n - 1))
+    profile = build_profile(_point(args), 2)  # the path steps read phi(1), phi(2)
     rng = _rng(args)
     if args.method == "direct":
         est = survival_direct(profile, args.n, args.alpha, args.reps, rng)

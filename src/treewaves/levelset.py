@@ -27,7 +27,7 @@ from scipy.optimize import brentq
 
 from .errors import NumericalError, ValidationError
 from .gaussian import orthant_edge_probability
-from .sampler import BallSample, path_step_kernel, path_step_table, sample_path_many
+from .sampler import BallSample, path_step_table, sample_path_many
 from .spectral import CovarianceProfile
 
 # Power iteration control for the transfer operator.
@@ -174,18 +174,18 @@ def _smc_factors(
     """Per-step surviving fractions of `nbat` batches of `per` particles.
 
     `prev` and `cur` hold the last two coordinates of every particle, zero
-    before the first step.  Step (b1, b2, sd) draws the next coordinate as
-    b1 * prev + b2 * cur + sd * N(0, 1), records each batch's fraction above
-    alpha, and resamples the survivors uniformly within the batch.  A batch
-    with no survivor is dead and records 0 from then on.  Returns the
+    before the first step.  Step (b1, b2, var) draws the next coordinate as
+    b1 * prev + b2 * cur + sqrt(var) * N(0, 1), records each batch's fraction
+    above alpha, and resamples the survivors uniformly within the batch.  A
+    batch with no survivor is dead and records 0 from then on.  Returns the
     fractions, shape (nbat, len(steps)).
     """
     prev = np.zeros((nbat, per))
     cur = np.zeros((nbat, per))
     factors = np.zeros((nbat, len(steps)))
     dead = np.zeros(nbat, dtype=bool)
-    for k, (b1, b2, sd) in enumerate(steps):
-        nxt = b1 * prev + b2 * cur + sd * rng.standard_normal((nbat, per))
+    for k, (b1, b2, var) in enumerate(steps):
+        nxt = b1 * prev + b2 * cur + math.sqrt(var) * rng.standard_normal((nbat, per))
         alive = nxt > alpha
         factors[:, k] = np.where(dead, 0.0, alive.mean(axis=1))
         prev, cur = cur, nxt
@@ -295,8 +295,7 @@ def transfer_rate(
     if not (math.isfinite(u_max_offset) and u_max_offset > 0.0):
         raise ValidationError(f"u_max_offset must be finite and > 0, got {u_max_offset!r}")
     u_max = max(alpha, 0.0) + u_max_offset
-    kern = path_step_kernel(profile)
-    b1, b2, s2 = kern.b1, kern.b2, kern.sigma2
+    b1, b2, s2 = path_step_table(profile, 3)[-1]
     sd = math.sqrt(s2)
     nodes, weights = leggauss(m)
     half = 0.5 * (u_max - alpha)

@@ -19,10 +19,10 @@ Both routes sample the same law; the recursive one satisfies the local wave
 identities by construction and scales linearly in the ball size.
 
 A geodesic path is order-2 Markov: given the two previous coordinates the next
-one is Gaussian with mean b1 * (two back) + b2 * (one back).  `path_step_kernel`
-exposes those weights, `path_step_table` the (b1, b2, sd) of every coordinate
-from the first, and `sample_path_many` iterates the table over a batch of
-independent paths.
+one is Gaussian with mean b1 * (two back) + b2 * (one back) and variance var.
+`path_step_table`, the (b1, b2, var) of every coordinate from the first, is the
+one step law: `sample_path_many` iterates it over a batch of independent
+paths, and `levelset` runs its SMC estimator and transfer operator on it.
 """
 
 from __future__ import annotations
@@ -65,44 +65,26 @@ class BallSample:
         object.__setattr__(self, "values", vals)
 
 
-@dataclass(frozen=True)
-class StepKernel:
-    """Conditional law of the next path coordinate given the previous two:
-    next ~ Normal(b1 * two_back + b2 * one_back, sigma2)."""
-
-    b1: float
-    b2: float
-    sigma2: float
-
-
-def path_step_kernel(profile: CovarianceProfile) -> StepKernel:
-    """Order-2 Markov step weights from the covariance profile."""
-    phi1 = profile.require(1)
-    phi2 = profile.require(2)
-    if abs(phi1) >= 1.0 - _PHI1_DEGENERACY_TOL:
-        raise NumericalError(f"degenerate step kernel: |phi(1)| = {abs(phi1)!r}")
-    denom = 1.0 - phi1 * phi1
-    b1 = (phi2 - phi1 * phi1) / denom
-    b2 = phi1 * (1.0 - phi2) / denom
-    sigma2 = 1.0 - b1 * phi2 - b2 * phi1
-    return StepKernel(b1=b1, b2=b2, sigma2=sigma2)
-
-
 def path_step_table(
     profile: CovarianceProfile, n: int
 ) -> list[tuple[float, float, float]]:
-    """(b1, b2, sd) for each of n path coordinates: coordinate k is
-    b1 * (coordinate k-2) + b2 * (coordinate k-1) + sd * N(0, 1), with zeros
+    """(b1, b2, var) for each of n path coordinates: coordinate k is
+    Normal(b1 * (coordinate k-2) + b2 * (coordinate k-1), var), with zeros
     before the path.  Coordinate 1 is N(0, 1), coordinate 2 its
     phi(1)-correlated successor, and the order-2 kernel carries on from there.
     """
     steps = [(0.0, 0.0, 1.0)]
     if n >= 2:
         phi1 = profile.require(1)
-        steps.append((0.0, phi1, math.sqrt(1.0 - phi1 * phi1)))
+        denom = 1.0 - phi1 * phi1
+        steps.append((0.0, phi1, denom))
     if n >= 3:
-        kern = path_step_kernel(profile)
-        steps += [(kern.b1, kern.b2, math.sqrt(kern.sigma2))] * (n - 2)
+        phi2 = profile.require(2)
+        if abs(phi1) >= 1.0 - _PHI1_DEGENERACY_TOL:
+            raise NumericalError(f"degenerate step kernel: |phi(1)| = {abs(phi1)!r}")
+        b1 = (phi2 - phi1 * phi1) / denom
+        b2 = phi1 * (1.0 - phi2) / denom
+        steps += [(b1, b2, 1.0 - b1 * phi2 - b2 * phi1)] * (n - 2)
     return steps
 
 
@@ -116,9 +98,9 @@ def sample_path_many(
         raise ValidationError(f"reps must be >= 1, got {reps}")
     out = np.empty((reps, n))
     prev = cur = 0.0  # no coordinates before the path
-    for k, (b1, b2, sd) in enumerate(path_step_table(profile, n)):
+    for k, (b1, b2, var) in enumerate(path_step_table(profile, n)):
         noise = rng.standard_normal(reps)
-        noise *= sd
+        noise *= math.sqrt(var)
         np.add(b1 * prev + b2 * cur, noise, out=out[:, k])
         prev, cur = cur, out[:, k]
     return out
@@ -155,20 +137,19 @@ def sample_ball_recursive_many(
     values[:, 0] = rng.standard_normal(reps)
     sd = math.sqrt(1.0 - profile.require(2))
     for depth in range(r):
-        cur = ball.sphere_slice(depth)
-        n_k = cur.stop - cur.start
+        # Shell `depth` is lo:mid, its children mid:hi.
+        lo, mid, hi = ball.starts[depth : depth + 3]
         fan = d if depth == 0 else d - 1
-        parent = values[:, ball.parent[cur]] if depth else 0.0
-        mean = (lam * values[:, cur] - parent) / fan
+        parent = values[:, ball.parent[lo:mid]] if depth else 0.0
+        mean = (lam * values[:, lo:mid] - parent) / fan
         # Family-major normals: family i takes the i-th block of reps rows,
         # the same normals as one draw per family in BFS order.  In place,
         # z becomes mean + sd * (z - mean z).
-        z = rng.standard_normal((n_k, reps, fan))
+        z = rng.standard_normal((mid - lo, reps, fan))
         shift = mean.T - (sd / fan) * (z @ np.ones(fan))
         z *= sd
         z += shift[:, :, None]
-        kids = ball.sphere_slice(depth + 1)
-        values[:, kids] = z.swapaxes(0, 1).reshape(reps, n_k * fan)
+        values[:, mid:hi] = z.swapaxes(0, 1).reshape(reps, hi - mid)
     return ball, values
 
 

@@ -80,10 +80,6 @@ class SpectralPoint:
         # stays real at the spectral edge.
         object.__setattr__(self, "lam", min(max(lam, -edge), edge))
 
-    @property
-    def edge(self) -> float:
-        return spectral_edge(self.d)
-
 
 def spectral_density(point: SpectralPoint) -> float:
     """Kesten-McKay density of the adjacency spectrum at lambda.

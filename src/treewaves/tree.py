@@ -46,15 +46,17 @@ class Ball:
 
     Vertices are ordered by depth, lexicographically within each depth, so the
     sphere of radius k occupies one contiguous slice, and the d - 1 (d at the
-    root) children of one vertex are consecutive.  The ball is stored as two
-    read-only integer arrays over that order: `parent` (BFS index of each
-    vertex's parent, -1 at the root) and `depth`.
+    root) children of one vertex are consecutive.  The ball is stored as
+    read-only integer arrays: per vertex in that order, `parent` (BFS index of
+    the parent, -1 at the root) and `depth`; per sphere, `starts` (radius + 2
+    entries, sphere k being starts[k]:starts[k + 1]).
     """
 
     d: int
     radius: int
     parent: np.ndarray = field(repr=False)
     depth: np.ndarray = field(repr=False)
+    starts: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
         return self.parent.size
@@ -63,12 +65,11 @@ class Ball:
         """Positions of the radius-k sphere within the BFS order."""
         if k < 0 or k > self.radius:
             raise ValidationError(f"sphere {k} outside ball of radius {self.radius}")
-        start = 0 if k == 0 else ball_vertex_count(self.d, k - 1)
-        return slice(start, ball_vertex_count(self.d, k))
+        return slice(int(self.starts[k]), int(self.starts[k + 1]))
 
     def interior_indices(self) -> range:
         """Indices of vertices whose whole neighborhood lies inside the ball."""
-        return range(self.sphere_slice(self.radius).start)
+        return range(int(self.starts[self.radius]))
 
     def addresses(self) -> list[str]:
         """Slash-joined address of every vertex, in BFS order."""
@@ -81,34 +82,33 @@ class Ball:
         return out
 
 
-def enumerate_ball(d: int, r: int, max_vertices: int = DEFAULT_VERTEX_BUDGET) -> Ball:
-    """Materialize the radius-r ball in BFS order.
-
-    Rejects requests whose vertex count exceeds `max_vertices`; the count grows
-    like (d-1)^r, so runaway radii fail fast instead of exhausting memory.
-    """
+def shell_sizes(d: int, r: int, max_vertices: int = DEFAULT_VERTEX_BUDGET) -> list[int]:
+    """Sphere sizes 0..r of the radius-r ball.  A negative radius, or a ball
+    of more than `max_vertices` vertices, is rejected after at most a few
+    shells: the count grows like (d-1)^r, so runaway radii fail fast."""
     if r < 0:
         raise ValidationError(f"ball radius must be >= 0, got {r}")
-    sizes = [sphere_size(d, 0)]  # grown only while within budget: a huge r costs a few shells
+    sizes = [sphere_size(d, 0)]
     while len(sizes) <= r and sum(sizes) <= max_vertices:
         sizes.append(sphere_size(d, len(sizes)))
     if sum(sizes) > max_vertices:
         raise ValidationError(f"ball of radius {r} at d={d} is over the budget of {max_vertices}")
+    return sizes
+
+
+def enumerate_ball(d: int, r: int, max_vertices: int = DEFAULT_VERTEX_BUDGET) -> Ball:
+    """Materialize the radius-r ball in BFS order, within `shell_sizes`' budget."""
+    sizes = shell_sizes(d, r, max_vertices)
     starts = np.cumsum([0] + sizes)
-    # Shell k repeats each shell-(k-1) index once per child.
-    parent = np.concatenate(
-        [np.array([-1])]
-        + [
-            np.repeat(np.arange(starts[k - 1], starts[k]), d if k == 1 else d - 1)
-            for k in range(1, r + 1)
-        ]
-    )
+    # Every interior vertex is the parent of the next `fan` vertices: d at the
+    # root, d - 1 below.
+    fan = np.full(starts[r], d - 1)
+    fan[:1] = d
+    parent = np.r_[-1, np.repeat(np.arange(starts[r]), fan)]
     depth = np.repeat(np.arange(r + 1), sizes)
-    parent.flags.writeable = False
-    depth.flags.writeable = False
-    return Ball(d=d, radius=r, parent=parent, depth=depth)
-
-
+    for arr in (parent, depth, starts):
+        arr.flags.writeable = False
+    return Ball(d=d, radius=r, parent=parent, depth=depth, starts=starts)
 
 
 def pairwise_distances(vertices: Ball) -> np.ndarray:

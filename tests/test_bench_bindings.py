@@ -1,14 +1,20 @@
 """The benchmark binds the package by name: `bench/*.py` calls `tw.<name>`,
 and the tracer in `bench/tracing.py` wraps the entry points listed in
 `LAYERS`.  The tracer skips a missing entry without failing, so a renamed or
-deleted function would drop out of the measurements unnoticed; these tests
-read the benchmark sources, without importing or editing them, and fail
-instead.
+deleted function would drop out of the measurements unnoticed; the first two
+tests read the benchmark sources and fail instead.
+
+A layer can also vanish while its entry point still exists, when no op calls
+it any more: the benchmark measures the layers a workload never reaches on its
+probe ops, so the last test runs those ops under the tracer (importing the
+benchmark modules, never editing them) and fails when a layer or a per-layer
+metric goes missing.
 """
 
 import ast
 import importlib
 import re
+import sys
 from pathlib import Path
 
 import treewaves as tw
@@ -49,3 +55,28 @@ def test_every_traced_layer_has_an_entry_point():
                    for e in entries)
     ]
     assert missing == []
+
+
+def test_probe_ops_reach_every_traced_layer(monkeypatch, tmp_path):
+    before = set(sys.modules)
+    monkeypatch.syspath_prepend(str(BENCH))
+    try:
+        import run
+        import tracing
+        import workloads
+
+        runner = run.Runner(str(tmp_path))
+        tracer = tracing.Tracer()
+        with tracer.installed():
+            outcomes = [runner.run(op) for op in workloads.PROBE_OPS]
+    finally:  # the benchmark modules have generic names; unbind them again
+        for name in {path.stem for path in BENCH.glob("*.py")} - before:
+            sys.modules.pop(name, None)
+    # Output checks are not run: some probe ops are too small to pass them,
+    # and the benchmark discards probe tallies.
+    assert [o.error for o in outcomes if not o.ok] == []
+    assert tracer.missing == set()
+    spanned = {span["layer"] for span in tracer.spans}
+    assert sorted(layer.name for layer in tracing.LAYERS if layer.name not in spanned) == []
+    metrics = tracing.layer_metrics(tracing.aggregate(tracer.spans))
+    assert sorted(m[0] for m in tracing.METRICS if m[0] not in metrics) == []

@@ -120,13 +120,36 @@ def test_dense_ball_budget_rejected_before_covariance(tmp_path, monkeypatch, cap
     ["sample-ball", "--sampler", "dense"],
     ["sample-ball", "--sampler", "recursive"],
     ["verify", "--reps", "1"],
-], ids=["sample-ball-dense", "sample-ball-recursive", "verify"])
-def test_huge_radius_rejected_with_a_short_message(argv, capsys):
-    # the exact vertex count at this radius has 30103 digits
-    assert run(argv[:1] + ["--d", "3", "--lambda", "0", "--radius", "100000"] + argv[1:]) == 2
+    ["verify", "--reps", "1", "--sampler", "recursive"],
+], ids=["sample-ball-dense", "sample-ball-recursive", "verify", "verify-recursive"])
+def test_huge_radius_rejected_with_a_short_message(argv, monkeypatch, capsys):
+    # the exact vertex count at this radius has 301030 digits, and the
+    # profile to distance 2 * radius would take seconds: neither is computed
+    import treewaves.cli as cli_mod
+
+    def boom(*a, **k):
+        raise RuntimeError("profile built")
+
+    monkeypatch.setattr(cli_mod, "build_profile", boom)
+    assert run(argv[:1] + ["--d", "3", "--lambda", "0", "--radius", "1000000"] + argv[1:]) == 2
     err = capsys.readouterr().err
     assert "budget" in err
     assert len(err) < 200
+
+
+def test_path_commands_build_the_profile_to_two(monkeypatch, tmp_path):
+    # the path step table reads phi(1) and phi(2) only
+    import treewaves.cli as cli_mod
+
+    built = []
+    real = cli_mod.build_profile
+    monkeypatch.setattr(cli_mod, "build_profile",
+                        lambda point, n_max: built.append(n_max) or real(point, n_max))
+    common = ["--d", "3", "--lambda", "0", "--n", "50", "--out", str(tmp_path / "o")]
+    assert run(["sample-path"] + common) == 0
+    assert run(["survival", "--alpha", "0", "--particles", "1000"] + common) == 0
+    assert run(["survival", "--alpha", "0", "--method", "direct", "--reps", "100"] + common) == 0
+    assert built == [2, 2, 2]
 
 
 def test_threshold_search_errors(monkeypatch):

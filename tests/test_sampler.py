@@ -12,10 +12,10 @@ def _profile(d=3, lam=0.0, n_max=8):
 
 
 def test_step_kernel_frozen_values():
-    k = tw.path_step_kernel(_profile(3, 0.0))
-    assert (k.b1, k.b2, k.sigma2) == pytest.approx((-0.5, 0.0, 0.75), abs=1e-15)
-    k = tw.path_step_kernel(_profile(3, 1.0))
-    assert (k.b1, k.b2, k.sigma2) == pytest.approx((-0.5, 0.5, 2 / 3), abs=1e-14)
+    b1, b2, var = tw.path_step_table(_profile(3, 0.0), 3)[-1]
+    assert (b1, b2, var) == pytest.approx((-0.5, 0.0, 0.75), abs=1e-15)
+    b1, b2, var = tw.path_step_table(_profile(3, 1.0), 3)[-1]
+    assert (b1, b2, var) == pytest.approx((-0.5, 0.5, 2 / 3), abs=1e-14)
 
 
 def test_step_kernel_closed_form_grid():
@@ -23,10 +23,24 @@ def test_step_kernel_closed_form_grid():
     for d in (3, 4, 5):
         edge = tw.spectral_edge(d)
         for lam in np.linspace(-0.9 * edge, 0.9 * edge, 7):
-            k = tw.path_step_kernel(_profile(d, float(lam), 4))
-            assert k.b1 == pytest.approx(-1.0 / (d - 1), abs=1e-12)
-            assert k.b2 == pytest.approx(lam / (d - 1), abs=1e-12)
-            assert k.sigma2 > 0.0
+            b1, b2, var = tw.path_step_table(_profile(d, float(lam), 4), 3)[-1]
+            assert b1 == pytest.approx(-1.0 / (d - 1), abs=1e-12)
+            assert b2 == pytest.approx(lam / (d - 1), abs=1e-12)
+            assert var > 0.0
+
+
+def test_path_step_table_first_rows():
+    # coordinate 1 is N(0, 1), coordinate 2 its phi(1)-correlated successor;
+    # the kernel row repeats for every later coordinate
+    for d, lam in ((3, 0.0), (3, 1.0), (5, -2.5)):
+        prof = _profile(d, lam, 4)
+        phi1 = prof.require(1)
+        steps = tw.path_step_table(prof, 6)
+        assert steps[0] == (0.0, 0.0, 1.0)
+        assert steps[1] == (0.0, phi1, 1.0 - phi1 * phi1)
+        assert steps[2:] == [tw.path_step_table(prof, 3)[-1]] * 4
+        assert tw.path_step_table(prof, 2) == steps[:2]
+        assert tw.path_step_table(prof, 1) == steps[:1]
 
 
 def test_path_sample_shapes_and_validation():
@@ -229,5 +243,4 @@ def test_degenerate_kernel_at_unit_correlation():
     # spectrum, so the kernel is always defined; check it stays bounded at edges
     for d in (3, 4):
         prof = _profile(d, tw.spectral_edge(d), 4)
-        k = tw.path_step_kernel(prof)
-        assert np.isfinite([k.b1, k.b2, k.sigma2]).all()
+        assert np.isfinite(tw.path_step_table(prof, 3)[-1]).all()

@@ -29,15 +29,19 @@ def test_sphere_and_ball_sizes():
 
 
 def test_enumerate_ball_structure():
-    for d, r in ((3, 3), (4, 2)):
+    for d, r in ((3, 3), (4, 2), (3, 0), (5, 1)):
         ball = tw.enumerate_ball(d, r)
         ref = ball_addresses(d, r)
         index = address_index(ref)
         assert len(ball) == tw.ball_vertex_count(d, r) == len(ref)
+        sizes = [tw.sphere_size(d, k) for k in range(r + 1)]
+        assert ball.starts.tolist() == np.cumsum([0] + sizes).tolist()
+        assert not ball.starts.flags.writeable
         # BFS layout: sphere k occupies one contiguous slice
         for k in range(r + 1):
             sl = ball.sphere_slice(k)
-            assert sl.stop - sl.start == tw.sphere_size(d, k)
+            start = 0 if k == 0 else tw.ball_vertex_count(d, k - 1)
+            assert (sl.start, sl.stop) == (start, tw.ball_vertex_count(d, k))
             assert all(len(a) == k for a in ref[sl])
         assert ball.parent[0] == -1
         assert len(ball.parent) == len(ball.depth) == len(ball)
@@ -45,11 +49,10 @@ def test_enumerate_ball_structure():
             assert ball.parent[ci] == index[ref[ci][:-1]]
         assert ball.depth.tolist() == [len(a) for a in ref]
         interior = ball.interior_indices()
-        assert interior == range(tw.ball_vertex_count(d, r - 1))
+        assert interior == range(tw.ball_vertex_count(d, r - 1) if r else 0)
         fans = np.bincount(ball.parent[1:], minlength=len(interior))
-        assert len(fans) == len(interior)  # only interior vertices have children
-        assert fans[0] == d
-        assert (fans[1:] == d - 1).all()
+        # only interior vertices have children: d at the root, d - 1 below
+        assert fans.tolist() == ([d] + [d - 1] * len(interior))[: len(interior)]
         assert ball.addresses() == [to_string(a) for a in ref]
 
 

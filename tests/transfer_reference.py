@@ -13,19 +13,19 @@ from numpy.polynomial.legendre import leggauss
 
 from treewaves.errors import NumericalError
 from treewaves.levelset import _POWER_MAX_ITER, _POWER_MIN_ITER, _POWER_RTOL
-from treewaves.sampler import path_step_kernel
+from treewaves.sampler import path_step_table
 
 
 def transfer_rate_tensor(profile, alpha, m=64, u_max_offset=8.0):
     """Leading eigenvalue of the discretized operator by power iteration."""
     u_max = max(alpha, 0.0) + u_max_offset
-    kern = path_step_kernel(profile)
-    sd = math.sqrt(kern.sigma2)
+    b1, b2, s2 = path_step_table(profile, 3)[-1]
+    sd = math.sqrt(s2)
     nodes, weights = leggauss(m)
     half = 0.5 * (u_max - alpha)
     x = alpha + half * (nodes + 1.0)
     w = half * weights
-    mean = kern.b1 * x[:, None] + kern.b2 * x[None, :]
+    mean = b1 * x[:, None] + b2 * x[None, :]
     z = (x[None, None, :] - mean[:, :, None]) / sd
     kmat = w[None, None, :] * np.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))
     g = np.ones((m, m))
