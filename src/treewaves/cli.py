@@ -21,6 +21,7 @@ Exit codes: 0 success, 2 invalid parameters, 1 runtime failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from typing import Iterable, Iterator, Sequence
@@ -332,6 +333,7 @@ def _cmd_rate(args) -> Document:
 
 def _cmd_threshold(args) -> Document:
     profile = build_profile(_point(args), 2)
+    # critical_threshold computes this bound again; bench/tracing.py times both names.
     lo = haggstrom_alpha(profile)
     hi = expdec_alpha(profile)
     alpha_c = critical_threshold(profile, args.tol, args.m, args.u_max_offset)
@@ -355,7 +357,9 @@ def _cmd_bounds(args) -> Document:
     }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later run."""
     parser = argparse.ArgumentParser(
         prog="treewaves",
         description="Invariant Gaussian waves on regular trees: samplers and "

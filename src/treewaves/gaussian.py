@@ -168,8 +168,12 @@ def orthant_edge_probability(rho: float, alpha: float) -> float:
 
     Computed by 1-D adaptive quadrature of
         integral_alpha^inf  pdf(x) * Q((alpha - rho x) / sqrt(1 - rho^2)) dx,
-    accurate to about 1e-10 absolute.  |rho| = 1 reduces to the exact limits
-    (X = Y, respectively Y = -X).
+    accurate to about 1e-10 absolute and to a small relative error deep in
+    the tail, where the Owen's T closed form Q(a) - 2 T(a, .) cancels (at
+    rho = -0.5, alpha = 5 it returns -1.2e-21 for 3.4e-25).  |rho| = 1
+    reduces to the exact limits (X = Y, respectively Y = -X).  This stays the
+    public route; haggstrom_alpha searches with Owen's T and calls this once,
+    to check its root.
     """
     rho = float(rho)
     alpha = float(alpha)

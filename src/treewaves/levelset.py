@@ -17,6 +17,7 @@ reaching 2/d) and above by the union bound from the summed covariance profile.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -24,6 +25,7 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.optimize import brentq
+from scipy.special import ndtr, owens_t
 
 from .errors import NumericalError, ValidationError
 from .gaussian import orthant_edge_probability
@@ -36,6 +38,9 @@ _POWER_MAX_ITER = 10_000
 _POWER_MIN_ITER = 10
 
 _BOOTSTRAP_RESAMPLES = 500
+
+# haggstrom_alpha's Owen's-T root must reproduce 2/d under the quadrature.
+_HAGGSTROM_CHECK_ATOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -241,6 +246,15 @@ def survival_curve_smc(
     )
 
 
+@functools.cache
+def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per m, read-only."""
+    nodes, weights = leggauss(m)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def transfer_rate(
     profile: CovarianceProfile,
     alpha: float,
@@ -286,7 +300,8 @@ def transfer_rate(
     F far from overflow.  P is divided by its largest entry over all blocks,
     exp(shift), so an operator deep in the tail keeps a nonzero iterate; the
     factor is restored on the returned eigenvalue, and an eigenvalue that
-    then underflows to 0 raises NumericalError.
+    then underflows to 0 raises NumericalError.  The Gauss-Legendre nodes
+    and weights are built once per m and reused by later calls.
     """
     if m < 16:
         raise ValidationError(f"quadrature size m must be >= 16, got {m}")
@@ -297,7 +312,7 @@ def transfer_rate(
     u_max = max(alpha, 0.0) + u_max_offset
     b1, b2, s2 = path_step_table(profile, 3)[-1]
     sd = math.sqrt(s2)
-    nodes, weights = leggauss(m)
+    nodes, weights = _gauss_legendre(m)
     half = 0.5 * (u_max - alpha)
     centre = alpha + half
     y = half * nodes
@@ -357,16 +372,27 @@ def haggstrom_alpha(profile: CovarianceProfile) -> float:
     """Level at which two-sided edge survival equals 2/d (percolation below).
 
     brentq on [-12, 12] evaluates each end once and raises ValueError when the
-    bracket has no sign change.
+    bracket has no sign change.  Its levels use the closed form
+    P(X > a, Y > a) = Q(a) - 2 T(a, sqrt((1 - rho) / (1 + rho))) with Owen's T
+    (|rho| = |phi(1)| < 1 on the spectrum); the root is then checked once
+    against the quadrature of orthant_edge_probability, and a gap over
+    1e-9 from 2/d raises NumericalError.
     """
     phi1 = profile.require(1)
     d = profile.point.d
     target = 2.0 / d
+    slope = math.sqrt((1.0 - phi1) / (1.0 + phi1))
 
     def f(a: float) -> float:
-        return orthant_edge_probability(phi1, a) - target
+        return float(ndtr(-a) - 2.0 * owens_t(a, slope)) - target
 
-    return float(brentq(f, -12.0, 12.0, xtol=1e-12, rtol=8.9e-16))
+    root = float(brentq(f, -12.0, 12.0, xtol=1e-12, rtol=8.9e-16))
+    gap = orthant_edge_probability(phi1, root) - target
+    if not abs(gap) <= _HAGGSTROM_CHECK_ATOL:
+        raise NumericalError(
+            f"edge survival at the Owen's T root {root!r} misses 2/d by {gap:.3e}"
+        )
+    return root
 
 
 def expdec_alpha(profile: CovarianceProfile) -> float:

@@ -194,6 +194,34 @@ def test_reruns_byte_identical(tmp_path):
         assert written[0] == written[1]
 
 
+def test_shared_parser_matches_a_fresh_one(tmp_path, monkeypatch, capsys):
+    # run reuses one parser; each output equals a run through a newly built one
+    import treewaves.cli as cli_mod
+
+    assert _build_parser() is _build_parser()
+    argvs = [
+        ["threshold", "--d", "3", "--lambda", "0", "--tol", "1e-2", "--m", "16"],
+        ["rate", "--d", "4", "--lambda", "1.0", "--alphas=0,1", "--m", "16"],
+        ["bounds", "--d", "5", "--lambda", "-1.0"],
+        ["threshold", "--d", "3", "--lambda", "0", "--tol", "1e-2", "--m", "16"],
+    ]
+    shared = []
+    for k, argv in enumerate(argvs):
+        assert run(argv + ["--out", str(tmp_path / f"shared{k}")]) == 0
+        shared.append((tmp_path / f"shared{k}").read_bytes())
+    monkeypatch.setattr(cli_mod, "_build_parser", _build_parser.__wrapped__)
+    for k, argv in enumerate(argvs):
+        assert run(argv + ["--out", str(tmp_path / f"fresh{k}")]) == 0
+        assert (tmp_path / f"fresh{k}").read_bytes() == shared[k]
+    monkeypatch.undo()
+    capsys.readouterr()
+    for _ in range(2):
+        assert run(["bounds", "--d", "3", "--lambda", "0", "--bogus"]) == 2
+        assert "--bogus" in capsys.readouterr().err
+        assert run(["--version"]) == 0
+        assert capsys.readouterr().out == "treewaves 0.1.0\n"
+
+
 def test_outputs_carry_metadata_and_no_timestamps(tmp_path):
     out = tmp_path / "ball.csv"
     run(["sample-ball", "--d", "3", "--lambda", "1.0", "--radius", "2", "--seed", "4", "--out", str(out)])

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.special import ndtr
 
 import treewaves as tw
@@ -268,16 +269,76 @@ def test_critical_threshold_rate_evaluations(monkeypatch, d, lam_frac, tol):
 
 
 def test_haggstrom_alpha_evaluates_each_level_once(monkeypatch):
+    # brentq's levels go through Owen's T; the quadrature only checks the root
     calls = []
-    prob = levelset.orthant_edge_probability
+    owens_t = levelset.owens_t
 
-    def counting_prob(rho, alpha):
-        calls.append(alpha)
-        return prob(rho, alpha)
+    def counting_owens_t(h, a):
+        calls.append(h)
+        return owens_t(h, a)
 
-    monkeypatch.setattr(levelset, "orthant_edge_probability", counting_prob)
+    monkeypatch.setattr(levelset, "owens_t", counting_owens_t)
     assert tw.haggstrom_alpha(_profile()) == pytest.approx(HAGGSTROM_D3_L0, abs=1e-12)
+    assert len(calls) > 2
     assert len(set(calls)) == len(calls)
+
+
+HAGGSTROM_EDGE_DEGREES = [3, 4, 5, 8, 16, 100, 1000]
+
+
+@pytest.mark.parametrize("d", HAGGSTROM_EDGE_DEGREES)
+def test_haggstrom_alpha_owens_t_root_matches_quadrature_root(d):
+    # the closed-form root against brentq on the quadrature itself, over the
+    # whole spectrum with both edges
+    target = 2.0 / d
+    for frac in np.linspace(-1.0, 1.0, 41):
+        prof = _profile(d, frac * tw.spectral_edge(d), 2)
+        phi1 = prof.phi[1]
+        ref = brentq(lambda a: tw.orthant_edge_probability(phi1, a) - target,
+                     -12.0, 12.0, xtol=1e-12, rtol=8.9e-16)
+        root = tw.haggstrom_alpha(prof)
+        assert abs(root - ref) <= 1e-13
+        assert tw.orthant_edge_probability(phi1, root) == pytest.approx(target, abs=1e-10)
+
+
+@pytest.mark.parametrize("d", HAGGSTROM_EDGE_DEGREES)
+def test_haggstrom_alpha_check_rejects_a_wrong_root(monkeypatch, d):
+    # the one quadrature call at the root guards the Owen's T search
+    prob = levelset.orthant_edge_probability
+    monkeypatch.setattr(levelset, "orthant_edge_probability",
+                        lambda rho, alpha: prob(rho, alpha) + 1e-6)
+    for frac in (-1.0, 0.0, 1.0):
+        with pytest.raises(NumericalError, match="misses 2/d"):
+            tw.haggstrom_alpha(_profile(d, frac * tw.spectral_edge(d), 2))
+
+
+def test_gauss_legendre_nodes_cached_read_only(monkeypatch):
+    nodes, weights = levelset._gauss_legendre(32)
+    assert levelset._gauss_legendre(32)[0] is nodes
+    for arr in (nodes, weights):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    # one node build serves every rate evaluation of a threshold search
+    calls = []
+    leggauss = levelset.leggauss
+
+    def counting_leggauss(m):
+        calls.append(m)
+        return leggauss(m)
+
+    monkeypatch.setattr(levelset, "leggauss", counting_leggauss)
+    levelset._gauss_legendre.cache_clear()
+    prof = _profile(3, 0.0, 2)
+    tw.critical_threshold(prof, tol=1e-4)
+    assert calls == [64]
+    # a cached call returns the same bits as the first and matches the tensor reference
+    levelset._gauss_legendre.cache_clear()
+    cold = [tw.transfer_rate(prof, a, 32) for a in (-0.5, 0.5)]
+    warm = [tw.transfer_rate(prof, a, 32) for a in (-0.5, 0.5)]
+    assert warm == cold
+    for a, r in zip((-0.5, 0.5), warm):
+        assert r == pytest.approx(transfer_rate_tensor(prof, a, 32), rel=1e-11, abs=0.0)
 
 
 def test_ratio_bounds_structure():
