@@ -38,6 +38,7 @@ from .conditioned import (
 )
 from .errors import ValidationError
 from .levelset import (
+    QUADRATURE_M_MAX,
     critical_threshold,
     expdec_alpha,
     haggstrom_alpha,
@@ -66,8 +67,8 @@ CSV_BLOCK_ROWS = 1 << 14
 # characters), so an n-vertex table holds about n^2 characters: ~100 MB at 10^4.
 PATH_CSV_MAX_N = 10**4
 M_HELP = (
-    "quadrature nodes per axis, >= 16; memory grows like m^2 (under 8 MB at "
-    "m=256) and time like m^3"
+    f"quadrature nodes per axis, 16 to {QUADRATURE_M_MAX}; memory grows like m^2 "
+    "(under 8 MB at m=256) and time like m^3"
 )
 # What a subcommand returns: a JSON payload, or CSV (metadata, columns).
 Document = dict | tuple[dict, dict]

@@ -4,8 +4,9 @@ conditioning, truncated-normal sampling, and the bivariate orthant probability.
 Ball covariances of the wave process are singular by construction (one exact
 linear constraint per interior vertex), so everything here is written against
 possibly rank-deficient matrices: factorization keeps only eigenvalues above a
-relative cutoff and conditioning uses the matching eigenvalue-clamped
-pseudo-inverse.
+relative cutoff and conditioning uses numpy's Hermitian pseudo-inverse with
+the same cutoff.  Truncated normals come from one inverse CDF on the log
+survival scale, which stays accurate arbitrarily deep in the tail.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import ndtr, ndtri
+from scipy.special import log_ndtr, ndtr, ndtri_exp
 
 from .errors import NumericalError, ValidationError
 from .spectral import CovarianceProfile
@@ -28,16 +29,8 @@ RANK_RTOL = 1e-9
 # Any eigenvalue below this absolute floor means the input was never a
 # covariance matrix; that is an upstream bug, not data.
 NEGATIVE_EIGENVALUE_FLOOR = -1e-6
-# Standardized truncation point beyond which inverse-CDF sampling gives way to
-# tail rejection.
-_INVERSE_CDF_MAX = 4.0
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-def _norm_q(x):
-    """Upper tail Q(x) = P(N(0,1) > x)."""
-    return ndtr(-x)
 
 
 def assemble_covariance(profile: CovarianceProfile, vertices: Ball) -> np.ndarray:
@@ -74,15 +67,12 @@ def factor_psd(matrix: np.ndarray) -> PsdFactor:
     if not np.allclose(c, c.T, rtol=0.0, atol=1e-12):
         raise ValidationError("covariance matrix must be symmetric")
     w, v = np.linalg.eigh(0.5 * (c + c.T))
-    if w[-1] <= 0.0:
-        if w[0] < NEGATIVE_EIGENVALUE_FLOOR:
-            raise NumericalError(f"eigenvalue {w[0]:.3e} below the PSD floor")
-        return PsdFactor(factor=np.zeros((c.shape[0], 0)), rank=0)
     if w[0] < NEGATIVE_EIGENVALUE_FLOOR:
         raise NumericalError(
             f"eigenvalue {w[0]:.3e} below the PSD floor; not a covariance matrix"
         )
-    keep = w > RANK_RTOL * w[-1]
+    # A matrix with no positive eigenvalue keeps none: rank 0.
+    keep = w > RANK_RTOL * max(w[-1], 0.0)
     factor = v[:, keep] * np.sqrt(w[keep])
     return PsdFactor(factor=factor, rank=int(np.count_nonzero(keep)))
 
@@ -99,11 +89,12 @@ class ConditionalGaussian:
 def conditional(
     matrix: np.ndarray, given: Sequence[int], target: Sequence[int]
 ) -> ConditionalGaussian:
-    """Schur-complement conditioning with an eigenvalue-clamped pseudo-inverse.
+    """Schur-complement conditioning through numpy's Hermitian pseudo-inverse.
 
-    The pseudo-inverse cutoff matches the factorization cutoff (RANK_RTOL
-    relative), so conditioning on a singular block is well defined as long as
-    the conditioning values respect the block's exact linear constraints.
+    The pseudo-inverse drops eigenvalues of the given block whose magnitude is
+    at most RANK_RTOL times the largest, the factorization cutoff, so
+    conditioning on a singular block is well defined as long as the
+    conditioning values respect the block's exact linear constraints.
     """
     c = np.asarray(matrix, dtype=float)
     given = list(int(i) for i in given)
@@ -123,10 +114,7 @@ def conditional(
         )
     c11 = c[np.ix_(given, given)]
     c21 = c[np.ix_(target, given)]
-    w, v = np.linalg.eigh(0.5 * (c11 + c11.T))
-    top = max(float(w[-1]), 0.0)
-    inv_w = np.where(w > RANK_RTOL * top, 1.0 / np.where(w > 0, w, 1.0), 0.0)
-    coeff = (c21 @ v) * inv_w @ v.T
+    coeff = c21 @ np.linalg.pinv(c11, rcond=RANK_RTOL, hermitian=True)
     residual = c22 - coeff @ c21.T
     residual = 0.5 * (residual + residual.T)
     return ConditionalGaussian(coeff=coeff, residual=residual)
@@ -135,32 +123,17 @@ def conditional(
 def truncated_standard(a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Draws of a standard normal conditioned on exceeding a, elementwise.
 
-    Inverse CDF on the survival scale for a <= 4 (well conditioned there);
-    shifted-exponential rejection beyond (acceptance -> 1 as a grows).
+    One uniform u per element and one inverse CDF on the log survival scale:
+    x = -ndtri_exp(log(1 - u) + log Q(a)), with Q the upper normal tail.  The
+    log scale keeps the draw accurate however deep a lies in either tail.
     """
     a = np.asarray(a, dtype=float)
-    out = np.empty_like(a)
-    easy = a <= _INVERSE_CDF_MAX
-    if np.any(easy):
-        q = _norm_q(a[easy])
-        u = rng.random(q.shape)
-        # (1 - u) lies in (0, 1], so the argument stays inside (0, q].
-        out[easy] = -ndtri(np.minimum((1.0 - u) * q, np.nextafter(1.0, 0.0)))
-    hard = ~easy
-    if np.any(hard):
-        ah = a[hard]
-        lam = 0.5 * (ah + np.sqrt(ah * ah + 4.0))
-        vals = np.empty_like(ah)
-        pending = np.ones(ah.shape, dtype=bool)
-        while np.any(pending):
-            k = int(pending.sum())
-            x = ah[pending] + rng.exponential(size=k) / lam[pending]
-            accept = rng.random(k) <= np.exp(-0.5 * (x - lam[pending]) ** 2)
-            idx = np.flatnonzero(pending)[accept]
-            vals[idx] = x[accept]
-            pending[idx] = False
-        out[hard] = vals
-    return out
+    u = rng.random(a.shape)
+    # u = 0 with a << 0 would give log 1 = 0 and x = -inf; the cap keeps the
+    # argument strictly below 0.
+    log_p = np.minimum(np.log1p(-u) + log_ndtr(-a), math.log(np.nextafter(1.0, 0.0)))
+    # u near 0 puts x at a itself, where rounding can land an ulp below a.
+    return np.maximum(-ndtri_exp(log_p), a)
 
 
 def orthant_edge_probability(rho: float, alpha: float) -> float:
@@ -182,13 +155,13 @@ def orthant_edge_probability(rho: float, alpha: float) -> float:
     if not math.isfinite(rho) or abs(rho) > 1.0:
         raise ValidationError(f"correlation must lie in [-1, 1], got {rho!r}")
     if rho == 1.0:
-        return float(_norm_q(alpha))
+        return float(ndtr(-alpha))
     if rho == -1.0:
         return max(0.0, 1.0 - 2.0 * float(ndtr(alpha)))
     s = math.sqrt(1.0 - rho * rho)
 
     def integrand(x: float) -> float:
-        return math.exp(-0.5 * x * x) / _SQRT_2PI * float(_norm_q((alpha - rho * x) / s))
+        return math.exp(-0.5 * x * x) / _SQRT_2PI * float(ndtr((rho * x - alpha) / s))
 
     # For |rho| near 1 the inner factor switches on a short scale around
     # x = alpha / rho; splitting there keeps the adaptive rule honest.  Past

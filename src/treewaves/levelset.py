@@ -36,6 +36,10 @@ from .spectral import CovarianceProfile
 _POWER_RTOL = 1e-10
 _POWER_MAX_ITER = 10_000
 _POWER_MIN_ITER = 10
+# Largest quadrature size m that transfer_rate accepts.  Each power iterate
+# is m x m and a call costs about m^3 flops: at m = 8192 the iterates alone
+# would take several GB.
+QUADRATURE_M_MAX = 1024
 
 _BOOTSTRAP_RESAMPLES = 500
 
@@ -271,11 +275,11 @@ def transfer_rate(
         Level; the operator acts on (alpha, u_max) with
         u_max = max(alpha, 0) + u_max_offset.
     m : int
-        Gauss-Legendre nodes per axis, at least 16.  Memory is O(m^2): the
-        operator and iterates take about nb + 5 m x m float64 arrays, nb at
-        most 9 at the default offset (d=3 near lambda = -edge): under 8 MB
-        at m=256.  Each power iteration is nb matrix products, m^3 flops in
-        all.
+        Gauss-Legendre nodes per axis, from 16 to QUADRATURE_M_MAX.  Memory
+        is O(m^2): the operator and iterates take about nb + 5 m x m float64
+        arrays, nb at most 9 at the default offset (d=3 near lambda = -edge):
+        under 8 MB at m=256.  Each power iteration is nb matrix products, m^3
+        flops in all.
     u_max_offset : float
         Domain headroom above the level, finite and positive.  The conditioned
         chain concentrates within O(1) of alpha, so the truncation error
@@ -303,8 +307,8 @@ def transfer_rate(
     then underflows to 0 raises NumericalError.  The Gauss-Legendre nodes
     and weights are built once per m and reused by later calls.
     """
-    if m < 16:
-        raise ValidationError(f"quadrature size m must be >= 16, got {m}")
+    if not 16 <= m <= QUADRATURE_M_MAX:
+        raise ValidationError(f"quadrature size m must lie in [16, {QUADRATURE_M_MAX}], got {m}")
     if not math.isfinite(alpha):
         raise ValidationError(f"alpha must be finite, got {alpha!r}")
     if not (math.isfinite(u_max_offset) and u_max_offset > 0.0):

@@ -20,6 +20,7 @@ it through a tabulated inverse CDF.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -93,25 +94,19 @@ def spectral_density(point: SpectralPoint) -> float:
     return d / (2.0 * math.pi) * math.sqrt(disc) / (d * d - lam * lam)
 
 
-_lambda_tables: dict[int, PchipInterpolator] = {}
-
-
+@functools.cache
 def _lambda_inverse_cdf(d: int) -> PchipInterpolator:
-    """Monotone-cubic inverse CDF table for the Kesten-McKay law, cached per d."""
-    table = _lambda_tables.get(d)
-    if table is None:
-        edge = spectral_edge(d)
-        grid = np.linspace(-edge, edge, _LAMBDA_TABLE_NODES)
-        pdf = np.array([spectral_density(SpectralPoint(d, float(v))) for v in grid])
-        cdf = np.concatenate(([0.0], cumulative_simpson(pdf, x=grid)))
-        cdf /= cdf[-1]
-        # The law is symmetric; average out the quadrature's tiny asymmetry so
-        # the table median is exactly 0.
-        cdf = 0.5 * (cdf + 1.0 - cdf[::-1])
-        keep = np.concatenate(([True], np.diff(cdf) > 0.0))
-        table = PchipInterpolator(cdf[keep], grid[keep], extrapolate=False)
-        _lambda_tables[d] = table
-    return table
+    """Monotone-cubic inverse CDF table for the Kesten-McKay law, built once per d."""
+    edge = spectral_edge(d)
+    grid = np.linspace(-edge, edge, _LAMBDA_TABLE_NODES)
+    pdf = np.array([spectral_density(SpectralPoint(d, float(v))) for v in grid])
+    cdf = np.concatenate(([0.0], cumulative_simpson(pdf, x=grid)))
+    cdf /= cdf[-1]
+    # The law is symmetric; average out the quadrature's tiny asymmetry so
+    # the table median is exactly 0.
+    cdf = 0.5 * (cdf + 1.0 - cdf[::-1])
+    keep = np.concatenate(([True], np.diff(cdf) > 0.0))
+    return PchipInterpolator(cdf[keep], grid[keep], extrapolate=False)
 
 
 def sample_lambda(d: int, rng: np.random.Generator) -> float:

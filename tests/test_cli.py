@@ -152,6 +152,19 @@ def test_path_commands_build_the_profile_to_two(monkeypatch, tmp_path):
     assert built == [2, 2, 2]
 
 
+def test_quadrature_size_over_the_cap_rejected_before_any_nodes(monkeypatch, capsys):
+    def boom(*a, **k):
+        raise RuntimeError("nodes built")
+
+    monkeypatch.setattr(levelset, "leggauss", boom)
+    for argv in (
+        ["rate", "--d", "3", "--lambda", "0", "--alphas=0", "--m", "1025"],
+        ["threshold", "--d", "3", "--lambda", "0", "--m", "100000"],
+    ):
+        assert run(argv) == 2
+        assert "quadrature size m" in capsys.readouterr().err
+
+
 def test_threshold_search_errors(monkeypatch):
     # --m is checked by the first rate call, made inside brentq
     assert run(["threshold", "--d", "3", "--lambda", "0", "--m", "8"]) == 2

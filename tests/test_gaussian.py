@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import log_ndtr, ndtr
 from scipy.stats import multivariate_normal
 
 import treewaves as tw
@@ -58,6 +58,17 @@ def test_factor_psd_rejects_bad_input():
         tw.factor_psd(np.array([[1.0, 0.5], [0.3, 1.0]]))
     with pytest.raises(NumericalError):
         tw.factor_psd(np.diag([1.0, -0.5]))
+
+
+def test_factor_psd_rank_zero():
+    f = tw.factor_psd(np.zeros((3, 3)))
+    assert f.rank == 0 and f.factor.shape == (3, 0)
+    draws = f.draw(np.random.default_rng(0), 5)
+    assert draws.shape == (5, 3) and not np.any(draws)
+    # slightly negative but above the floor: still a (zero) covariance
+    assert tw.factor_psd(-1e-8 * np.eye(2)).rank == 0
+    with pytest.raises(NumericalError):
+        tw.factor_psd(np.diag([-1.0, -2.0]))
 
 
 def test_psd_factor_draw_shape_and_moments():
@@ -138,6 +149,39 @@ def test_sample_truncated_hard_branch_moments():
     assert draws.min() >= a
     exact_mean = np.exp(-a * a / 2) / np.sqrt(2 * np.pi) / ndtr(-a)
     assert draws.mean() == pytest.approx(exact_mean, abs=4 * draws.std() / np.sqrt(1e5))
+
+
+@pytest.mark.parametrize("a", [-40.0, 0.0, 3.99, 4.01, 5.0, 40.0, 1e3])
+def test_truncated_standard_takes_one_uniform_per_element(a):
+    rng = np.random.default_rng(21)
+    ref = np.random.default_rng(21)
+    tw.truncated_standard(np.full((7, 3), a), rng)
+    ref.random(21)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("a", [5.0, 10.0, 40.0, 1e3])
+def test_truncated_standard_deep_tail_mean(a):
+    # mean of N(0,1) given > a is pdf(a) / Q(a), taken in logs: Q underflows past a = 38
+    rng = np.random.default_rng(22)
+    draws = tw.truncated_standard(np.full(50_000, a), rng)
+    assert np.all(np.isfinite(draws)) and draws.min() >= a
+    exact_mean = np.exp(-a * a / 2 - log_ndtr(-a)) / np.sqrt(2 * np.pi)
+    assert draws.mean() == pytest.approx(exact_mean, abs=4 * draws.std() / np.sqrt(draws.size))
+
+
+class _ZeroUniforms:
+    def random(self, size=None):
+        return np.zeros(size)
+
+
+def test_truncated_standard_at_zero_uniform():
+    # u = 0 is the edge of the inverse CDF: the draw is the lowest quantile
+    # the log scale can reach, finite and inside the support
+    a = np.array([-40.0, 0.0, 8.3, 37.5, 40.0])
+    draws = tw.truncated_standard(a, _ZeroUniforms())
+    assert np.all(np.isfinite(draws))
+    assert np.all(draws >= a)
 
 
 def test_orthant_arcsin_identity():
