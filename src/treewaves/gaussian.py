@@ -31,6 +31,7 @@ RANK_RTOL = 1e-9
 NEGATIVE_EIGENVALUE_FLOOR = -1e-6
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_LOG_BELOW_ONE = math.log(np.nextafter(1.0, 0.0))
 
 
 def assemble_covariance(profile: CovarianceProfile, vertices: Ball) -> np.ndarray:
@@ -42,8 +43,8 @@ def assemble_covariance(profile: CovarianceProfile, vertices: Ball) -> np.ndarra
 
 @dataclass(frozen=True)
 class PsdFactor:
-    """Semidefinite square root: factor has shape (n, rank), factor @ factor.T
-    reconstructs the input up to the rank cutoff."""
+    """Semidefinite square root: factor has shape (n, rank), read-only, and
+    factor @ factor.T reconstructs the input up to the rank cutoff."""
 
     factor: np.ndarray
     rank: int
@@ -74,6 +75,7 @@ def factor_psd(matrix: np.ndarray) -> PsdFactor:
     # A matrix with no positive eigenvalue keeps none: rank 0.
     keep = w > RANK_RTOL * max(w[-1], 0.0)
     factor = v[:, keep] * np.sqrt(w[keep])
+    factor.flags.writeable = False
     return PsdFactor(factor=factor, rank=int(np.count_nonzero(keep)))
 
 
@@ -131,7 +133,7 @@ def truncated_standard(a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     u = rng.random(a.shape)
     # u = 0 with a << 0 would give log 1 = 0 and x = -inf; the cap keeps the
     # argument strictly below 0.
-    log_p = np.minimum(np.log1p(-u) + log_ndtr(-a), math.log(np.nextafter(1.0, 0.0)))
+    log_p = np.minimum(np.log1p(-u) + log_ndtr(-a), _LOG_BELOW_ONE)
     # u near 0 puts x at a itself, where rounding can land an ulp below a.
     return np.maximum(-ndtri_exp(log_p), a)
 

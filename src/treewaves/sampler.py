@@ -16,7 +16,10 @@ Two routes produce a ball sample:
   factored, and every family of a shell is drawn in one step.
 
 Both routes sample the same law; the recursive one satisfies the local wave
-identities by construction and scales linearly in the ball size.
+identities by construction and scales linearly in the ball size.  Only the
+draws repeat per call: the ball and the dense factor are built once per
+(profile, radius) and reused while the same profile object is passed (as in
+`verify`'s rep loop).  One factor is kept, at most 2048^2 float64 (34 MB).
 
 A geodesic path is order-2 Markov: given the two previous coordinates the next
 one is Gaussian with mean b1 * (two back) + b2 * (one back) and variance var.
@@ -27,13 +30,14 @@ paths, and `levelset` runs its SMC estimator and transfer operator on it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .gaussian import assemble_covariance, factor_psd
+from .gaussian import PsdFactor, assemble_covariance, factor_psd
 from .spectral import CovarianceProfile
 from .tree import Ball, enumerate_ball
 
@@ -106,15 +110,26 @@ def sample_path_many(
     return out
 
 
+@functools.lru_cache(maxsize=1)
+def _dense_ball(profile: CovarianceProfile, r: int) -> tuple[Ball, PsdFactor]:
+    """The radius-r ball and the factor of its covariance; the last pair is kept."""
+    ball = enumerate_ball(profile.point.d, r, max_vertices=DENSE_VERTEX_BUDGET)
+    return ball, factor_psd(assemble_covariance(profile, ball))
+
+
 def sample_ball_dense_many(
     profile: CovarianceProfile, r: int, reps: int, rng: np.random.Generator
 ) -> tuple[Ball, np.ndarray]:
-    """reps independent dense ball draws stacked as a (reps, ball size) matrix."""
+    """reps independent dense ball draws stacked as a (reps, ball size) matrix.
+
+    The ball and its covariance factor are built once per (profile, radius)
+    and reused while the same profile object is passed; one factor (at most
+    34 MB) is kept.
+    """
     if reps < 1:
         raise ValidationError(f"reps must be >= 1, got {reps}")
-    ball = enumerate_ball(profile.point.d, r, max_vertices=DENSE_VERTEX_BUDGET)
-    cov = assemble_covariance(profile, ball)
-    return ball, factor_psd(cov).draw(rng, reps)
+    ball, factor = _dense_ball(profile, r)
+    return ball, factor.draw(rng, reps)
 
 
 def sample_ball_dense(

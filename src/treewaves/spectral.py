@@ -126,12 +126,13 @@ def sample_lambda_many(d: int, size: int, rng: np.random.Generator) -> np.ndarra
     return np.clip(out, -edge, edge)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovarianceProfile:
     """Covariance phi(0..n_max) of the wave process, indexed by graph distance.
 
     `big_phi` is the summed profile phi(0) + 2 * sum_{j>=1} |phi(j)|, the
     constant controlling the exponential survival bound of level sets.
+    Profiles compare and hash by identity, so a profile can key a cache.
     """
 
     point: SpectralPoint

@@ -10,6 +10,7 @@ root, "0/1/0" for a depth-3 vertex).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,8 +97,11 @@ def shell_sizes(d: int, r: int, max_vertices: int = DEFAULT_VERTEX_BUDGET) -> li
     return sizes
 
 
+@functools.lru_cache(maxsize=1)
 def enumerate_ball(d: int, r: int, max_vertices: int = DEFAULT_VERTEX_BUDGET) -> Ball:
-    """Materialize the radius-r ball in BFS order, within `shell_sizes`' budget."""
+    """Materialize the radius-r ball in BFS order, within `shell_sizes`' budget.
+    The last ball built (16 bytes per vertex) is kept and returned while the
+    arguments repeat; a Ball is immutable, so callers share it."""
     sizes = shell_sizes(d, r, max_vertices)
     starts = np.cumsum([0] + sizes)
     # Every interior vertex is the parent of the next `fan` vertices: d at the

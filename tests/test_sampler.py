@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import treewaves as tw
+from treewaves.cli import run
 from treewaves.errors import ValidationError
+from treewaves.sampler import DENSE_VERTEX_BUDGET, _dense_ball
 
 from tree_reference import address_index, ball_addresses
 
@@ -111,14 +113,67 @@ def test_ball_radius_zero():
 
 
 def test_dense_vertex_budget():
-    from treewaves.sampler import DENSE_VERTEX_BUDGET
-
     assert tw.ball_vertex_count(3, 9) <= DENSE_VERTEX_BUDGET < tw.ball_vertex_count(3, 10)
     prof = _profile(3, 0.0, 20)
+    rng = np.random.default_rng(0)
+    tw.sample_ball_dense(prof, 2, rng)  # a warm cache refuses just the same
     with pytest.raises(ValidationError, match="budget"):
-        tw.sample_ball_dense_many(prof, 10, 1, np.random.default_rng(0))
+        tw.sample_ball_dense_many(prof, 10, 1, rng)
     with pytest.raises(ValidationError, match="budget"):
-        tw.sample_ball_dense(prof, 10, np.random.default_rng(0))
+        tw.sample_ball_dense(prof, 10, rng)
+    with pytest.raises(ValidationError, match="unavailable"):
+        tw.sample_ball_dense(_profile(3, 0.0, 4), 3, rng)  # reads phi(6)
+    # no error is cached: the warm entry still serves the next valid call
+    hits = _dense_ball.cache_info().hits
+    tw.sample_ball_dense(prof, 2, rng)
+    assert _dense_ball.cache_info().hits == hits + 1
+
+
+def test_cached_draws_match_cold_draws():
+    # the ball and the dense factor are built once per (profile, radius);
+    # reusing them gives the same bits as rebuilding them for every rep
+    for d, lam, r in ((3, 0.7, 3), (4, -1.1, 2)):
+        prof = _profile(d, lam, 2 * r)
+        for draw in (tw.sample_ball_dense, tw.sample_ball_recursive):
+            rng = np.random.default_rng(21)
+            warm = [draw(prof, r, rng).values for _ in range(4)]
+            rng = np.random.default_rng(21)
+            cold = []
+            for _ in range(4):
+                _dense_ball.cache_clear()
+                tw.enumerate_ball.cache_clear()
+                cold.append(draw(prof, r, rng).values)
+            np.testing.assert_array_equal(warm, cold)
+
+
+def test_verify_factors_the_dense_covariance_once(monkeypatch, tmp_path):
+    import treewaves.sampler as sampler_mod
+
+    sizes = []
+
+    def counting(matrix):
+        sizes.append(len(matrix))
+        return tw.factor_psd(matrix)
+
+    monkeypatch.setattr(sampler_mod, "factor_psd", counting)
+    argv = ["verify", "--d", "3", "--lambda", "0.5", "--radius", "3", "--reps", "30",
+            "--sampler", "dense", "--out", str(tmp_path / "v.json")]
+    assert run(argv) == 0
+    assert sizes == [tw.ball_vertex_count(3, 3)]
+
+
+def test_dense_cache_keys_on_profile_identity_and_radius():
+    prof, twin = _profile(3, 0.4, 6), _profile(3, 0.4, 6)
+    rng = np.random.default_rng(0)
+    _dense_ball.cache_clear()
+    for p, r in ((prof, 2), (prof, 2), (twin, 2), (twin, 3)):
+        tw.sample_ball_dense(p, r, rng)
+    info = _dense_ball.cache_info()
+    assert (info.hits, info.misses) == (1, 3)
+    ball, factor = _dense_ball(twin, 3)
+    assert ball is tw.enumerate_ball(3, 3, max_vertices=DENSE_VERTEX_BUDGET)
+    for arr in (factor.factor, ball.parent, ball.depth, ball.starts):
+        assert not arr.flags.writeable
 
 
 def test_recursive_matches_dense_covariance():

@@ -74,6 +74,14 @@ def test_profile_interface():
         tw.build_profile(tw.SpectralPoint(3, 1.0), 1)
 
 
+def test_profile_hashes_and_compares_by_identity():
+    # profiles key the sampler caches, so equal arguments are not equal profiles
+    p = tw.build_profile(tw.SpectralPoint(3, 1.0), 5)
+    q = tw.build_profile(tw.SpectralPoint(3, 1.0), 5)
+    assert hash(p) == hash(p) and p == p
+    assert p != q and len({p, q}) == 2
+
+
 def test_scaled_covariance_bounded_inside_spectrum():
     # |phi(n)| (d-1)^{n/2} stays below 2 away from the spectral endpoints;
     # at the endpoints it equals (n(d-2) + d)/d exactly, growing linearly
