@@ -66,6 +66,7 @@ CSV_BLOCK_ROWS = 1 << 14
 # The sample-path CSV gives the depth-k vertex the address "0/0/.../0" (2k - 1
 # characters), so an n-vertex table holds about n^2 characters: ~100 MB at 10^4.
 PATH_CSV_MAX_N = 10**4
+PROFILE_MAX_N = 10**6  # phi(n) is exactly 0.0 past n ~ 2100 at d = 3; 10^6 rows take ~10 MB
 M_HELP = (
     f"quadrature nodes per axis, 16 to {QUADRATURE_M_MAX}; memory grows like m^2 "
     "(under 8 MB at m=256) and time like m^3"
@@ -186,6 +187,8 @@ def _add_common(sub: argparse.ArgumentParser, seed: bool = True) -> None:
 
 
 def _cmd_profile(args) -> Document:
+    if args.n > PROFILE_MAX_N:
+        raise ValidationError(f"--n {args.n} over the budget of {PROFILE_MAX_N}")
     profile = build_profile(_point(args), args.n)
     columns = {"n": np.arange(profile.n_max + 1), "phi": profile.phi}
     return {"big_phi": profile.big_phi}, columns
@@ -371,7 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("profile", help="covariance profile phi(0..n) as CSV")
     _add_common(p, seed=False)
-    p.add_argument("--n", type=int, required=True, help="largest distance, >= 2")
+    p.add_argument("--n", type=int, required=True, help=f"largest distance, 2 to {PROFILE_MAX_N}")
     p.set_defaults(func=_cmd_profile)
 
     p = subs.add_parser("sample-ball", help="one exact ball sample as CSV")

@@ -47,7 +47,10 @@ class PsdFactor:
     factor @ factor.T reconstructs the input up to the rank cutoff."""
 
     factor: np.ndarray
-    rank: int
+
+    @property
+    def rank(self) -> int:
+        return self.factor.shape[1]
 
     def draw(self, rng: np.random.Generator, reps: int = 1) -> np.ndarray:
         """reps zero-mean Gaussian vectors with this covariance, shape (reps, n)."""
@@ -76,7 +79,7 @@ def factor_psd(matrix: np.ndarray) -> PsdFactor:
     keep = w > RANK_RTOL * max(w[-1], 0.0)
     factor = v[:, keep] * np.sqrt(w[keep])
     factor.flags.writeable = False
-    return PsdFactor(factor=factor, rank=int(np.count_nonzero(keep)))
+    return PsdFactor(factor)
 
 
 @dataclass(frozen=True)

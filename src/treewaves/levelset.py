@@ -41,8 +41,6 @@ _POWER_MIN_ITER = 10
 # would take several GB.
 QUADRATURE_M_MAX = 1024
 
-_BOOTSTRAP_RESAMPLES = 500
-
 # haggstrom_alpha's Owen's-T root must reproduce 2/d under the quadrature.
 _HAGGSTROM_CHECK_ATOL = 1e-9
 
@@ -84,22 +82,16 @@ def extract_components(sample: BallSample, alpha: float) -> ComponentSummary:
     tops, inv, sizes = np.unique(top[above], return_inverse=True, return_counts=True)
     reach = np.zeros(tops.size, dtype=np.int64)
     np.maximum.at(reach, inv, ball.depth[above])
-    comps = [
-        Component(
-            size=int(n),
-            reach=int(h),
-            touches_boundary=bool(h == ball.radius),
-            contains_root=bool(t == 0),
-        )
-        for t, n, h in zip(tops, sizes, reach)
-    ]
-    comps.sort(key=lambda c: (-c.size, c.reach, not c.contains_root))
-    root_comp = next((c for c in comps if c.contains_root), None)
+    # Largest first, then shallowest, then the root's cluster; the stable
+    # sort keeps the remaining ties in ascending-top order.
+    order = np.lexsort((tops != 0, reach, -sizes))
+    columns = sizes, reach, reach == ball.radius, tops == 0
+    comps = map(Component, *(c[order].tolist() for c in columns))
     return ComponentSummary(
         alpha=alpha,
         components=tuple(comps),
-        root_size=root_comp.size if root_comp else 0,
-        root_reach=root_comp.reach if root_comp else -1,
+        root_size=int(sizes[0]) if above[0] else 0,  # the root's cluster has top 0
+        root_reach=int(reach[0]) if above[0] else -1,
     )
 
 
@@ -151,8 +143,8 @@ class SurvivalCurve:
     """SMC survival estimates for every length 1..n_max in one pass.
 
     batch_estimates holds the per-batch prefix-product estimators, one row per
-    independent batch; p_hat averages them and stderr is a bootstrap over
-    batches.
+    independent batch; p_hat averages them and stderr is their spread (ddof 0)
+    over sqrt(batches), the standard error of the batch mean.
     """
 
     alpha: float
@@ -224,7 +216,8 @@ def survival_curve_smc(
     Particles carry the last two surviving coordinates; each step multiplies
     the estimator by the surviving fraction and resamples within each of the
     independent batches.  The per-step fraction estimator makes every batch's
-    prefix product unbiased for P(n).
+    prefix product unbiased for P(n); the standard error is the batch spread
+    over sqrt(batches).  Nothing is drawn after the particle loop.
     """
     if n_max < 1:
         raise ValidationError(f"n_max must be >= 1, got {n_max}")
@@ -238,14 +231,12 @@ def survival_curve_smc(
     per = particles // nbat
     factors = _smc_factors(nbat, per, path_step_table(profile, n_max), alpha, rng)
     batch_estimates = np.cumprod(factors, axis=1)
-    # Bootstrap over batches for the standard error of the batch mean.
-    draws = rng.integers(0, nbat, (_BOOTSTRAP_RESAMPLES, nbat))
     return SurvivalCurve(
         alpha=alpha,
         particles=per * nbat,
         batches=nbat,
         p_hat=batch_estimates.mean(axis=0),
-        stderr=batch_estimates[draws].mean(axis=1).std(axis=0, ddof=1),
+        stderr=batch_estimates.std(axis=0) / math.sqrt(nbat),
         batch_estimates=batch_estimates,
     )
 
@@ -342,31 +333,27 @@ def transfer_rate(
     for _, log_p, _, _ in blocks:  # in place: each log P becomes P exp(-shift)
         log_p -= shift
         np.exp(log_p, out=log_p)
+    # From the second step on, g has unit weighted mass w g w, so w (T g) w
+    # estimates the eigenvalue; the first estimate is never compared.
     g = np.ones((m, m))
     h = np.empty((m, m))
-    den = float(w @ g @ w)
     prev_ray = math.inf
     hits = 0
     for it in range(_POWER_MAX_ITER):
         for sl, p, e, f in blocks:
             h[sl] = f * (e @ (p * g).T)
-        num = float(w @ h @ w)
-        ray = num / den
-        if it >= _POWER_MIN_ITER and abs(ray - prev_ray) <= _POWER_RTOL * abs(ray):
-            hits += 1
-            if hits >= 2:
-                rate = math.exp(shift + math.log(ray))
-                if rate == 0.0:
-                    raise NumericalError("transfer operator iterate collapsed to zero")
-                return rate
-        else:
-            hits = 0
-        prev_ray = ray
-        top = h.max()
-        if top <= 0.0 or not math.isfinite(top):
+        ray = float(w @ h @ w)
+        if not (ray > 0.0 and math.isfinite(ray)):
             raise NumericalError("transfer operator iterate collapsed to zero")
-        g = h / top
-        den = float(w @ g @ w)
+        close = it >= _POWER_MIN_ITER and abs(ray - prev_ray) <= _POWER_RTOL * ray
+        hits = hits + 1 if close else 0
+        if hits >= 2:
+            rate = math.exp(shift + math.log(ray))
+            if rate == 0.0:
+                raise NumericalError("transfer operator iterate collapsed to zero")
+            return rate
+        prev_ray = ray
+        np.divide(h, ray, out=g)
     raise NumericalError(
         f"power iteration did not converge in {_POWER_MAX_ITER} iterations"
     )
@@ -501,22 +488,14 @@ def survival_ratio_bounds(
                 f"{alive[n - 1]} of {nbat} SMC batches alive at length {n} at "
                 f"alpha={alpha!r}: the jackknife needs two; raise reps or lower alpha"
             )
-
-    def loo(x: np.ndarray) -> np.ndarray:
-        """Leave-one-batch-out means."""
-        return (x.sum() - x) / (nbat - 1)
-
-    entries = []
-    for n in n_list:
-        for mm in m_list:
-            num = be[:, n + mm - 1]
-            den_a = be[:, n - 1]
-            den_b = be[:, mm - 1]
-            full = num.mean() / (den_a.mean() * den_b.mean())
-            jack = loo(num) / (loo(den_a) * loo(den_b))
-            se = math.sqrt((nbat - 1) / nbat * float(((jack - jack.mean()) ** 2).sum()))
-            entries.append(
-                RatioEntry(n=n, m=mm, ratio=float(full), stderr=se)
-            )
-    bound = max(max(e.ratio, 1.0 / e.ratio) for e in entries)
-    return RatioBoundsReport(alpha=alpha, entries=tuple(entries), bound=bound)
+    # One column per (n, m) pair, n-major; rows are batches.
+    n_grid, m_grid = (g.ravel() for g in np.meshgrid(n_list, m_list, indexing="ij"))
+    parts = be[:, n_grid + m_grid - 1], be[:, n_grid - 1], be[:, m_grid - 1]
+    num, den_a, den_b = (x.mean(axis=0) for x in parts)
+    ratio = num / (den_a * den_b)
+    # The jackknife replicates divide leave-one-batch-out means.
+    loo_num, loo_a, loo_b = ((x.sum(axis=0) - x) / (nbat - 1) for x in parts)
+    se = np.sqrt((nbat - 1) * (loo_num / (loo_a * loo_b)).var(axis=0))
+    entries = tuple(map(RatioEntry, n_grid.tolist(), m_grid.tolist(), ratio.tolist(), se.tolist()))
+    bound = float(np.maximum(ratio, 1.0 / ratio).max())
+    return RatioBoundsReport(alpha=alpha, entries=entries, bound=bound)

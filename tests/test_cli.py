@@ -405,8 +405,10 @@ def test_bounds_json(tmp_path):
     (["gibbs", "--alpha", "0", "--n", "40", "--sweeps", "20000", "--tail-grid="],
      "--tail-grid"),
     (["rate", "--alphas="], "--alphas"),
+    (["profile", "--n", "1000001"], "--n"),
 ], ids=["tail-grid-empty-entry", "tail-grid-nan", "tail-grid-inf", "alphas-inf",
-        "alpha-min-inf", "alpha-max-inf", "tail-grid-empty", "alphas-empty"])
+        "alpha-min-inf", "alpha-max-inf", "tail-grid-empty", "alphas-empty",
+        "profile-n-over-budget"])
 def test_invalid_grids_rejected_before_any_work(argv, flag, monkeypatch, capsys):
     # a non-finite grid bound used to reach np.linspace, whose RuntimeWarning
     # the test filter turns into a runtime failure (exit 1)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.special import log_ndtr, ndtr
@@ -49,6 +51,9 @@ def test_factor_psd_reconstruction_and_rank():
     f = tw.factor_psd(cov)
     assert f.rank == 6  # ball covariance rank = outer sphere size
     np.testing.assert_allclose(f.factor @ f.factor.T, cov, atol=1e-12)
+    # the rank is read off the factor, so the two cannot disagree
+    assert [fld.name for fld in dataclasses.fields(f)] == ["factor"]
+    assert tw.PsdFactor(f.factor[:, :2]).rank == 2
 
 
 def test_factor_psd_rejects_bad_input():

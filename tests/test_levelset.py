@@ -147,6 +147,38 @@ def test_survival_curve_prefix_consistency():
     assert est.p_hat == curve.p_hat[6]
 
 
+def test_smc_stderr_is_batch_spread():
+    curve = tw.survival_curve_smc(_profile(), 12, 0.2, 2_000, np.random.default_rng(19))
+    be = curve.batch_estimates
+    assert np.array_equal(curve.stderr, be.std(axis=0) / np.sqrt(curve.batches))
+
+
+def test_smc_draws_nothing_after_the_particle_loop():
+    prof = _profile()
+    rng = np.random.default_rng(23)
+    curve = tw.survival_curve_smc(prof, 9, 0.1, 1_000, rng)
+    ref = np.random.default_rng(23)
+    factors = levelset._smc_factors(
+        curve.batches, curve.particles // curve.batches,
+        tw.path_step_table(prof, 9), 0.1, ref,
+    )
+    assert np.array_equal(np.cumprod(factors, axis=1), curve.batch_estimates)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_smc_memory_is_linear_in_length():
+    prof = _profile()
+    tracemalloc.start()
+    try:
+        curve = tw.survival_curve_smc(prof, 2000, -3.0, 1000, np.random.default_rng(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert curve.p_hat.shape == (2000,)
+    # the curves are 16 x 2000 floats; 500 resampled copies of them would be 128 MB
+    assert peak < 50 * 2**20
+
+
 def test_smc_collapse_flag():
     prof = _profile()
     est = tw.survival_curve_smc(prof, 12, 3.5, 100, np.random.default_rng(20)).estimate(12)
@@ -351,17 +383,23 @@ def test_ratio_bounds_structure():
     ratios = {(e.n, e.m): e.ratio for e in rep.entries}
     assert ratios[(3, 6)] == ratios[(6, 3)]  # same curve, symmetric definition
     assert all(e.stderr >= 0 for e in rep.entries)
-    # the vectorized jackknife against the explicit leave-one-batch-out loop
-    be = tw.survival_curve_smc(prof, 12, 0.0, 20_000, np.random.default_rng(29)).batch_estimates
-    nbat = be.shape[0]
-    for e in rep.entries:
-        num, den_a, den_b = be[:, e.n + e.m - 1], be[:, e.n - 1], be[:, e.m - 1]
-        jack = np.array([
-            np.delete(num, b).mean() / (np.delete(den_a, b).mean() * np.delete(den_b, b).mean())
-            for b in range(nbat)
-        ])
-        se = np.sqrt((nbat - 1) / nbat * ((jack - jack.mean()) ** 2).sum())
-        assert e.stderr == pytest.approx(se, rel=1e-12)
+    # the vectorized jackknife against the explicit leave-one-batch-out loop,
+    # also on an asymmetric grid, whose entries come n-major
+    asym = tw.survival_ratio_bounds(prof, 0.0, [2, 3, 5], [4], 20_000, np.random.default_rng(29))
+    assert [(e.n, e.m) for e in asym.entries] == [(2, 4), (3, 4), (5, 4)]
+    for report, top in ((rep, 12), (asym, 9)):
+        be = tw.survival_curve_smc(prof, top, 0.0, 20_000, np.random.default_rng(29)).batch_estimates
+        nbat = be.shape[0]
+        for e in report.entries:
+            num, den_a, den_b = be[:, e.n + e.m - 1], be[:, e.n - 1], be[:, e.m - 1]
+            assert e.ratio == pytest.approx(num.mean() / (den_a.mean() * den_b.mean()), rel=1e-12)
+            jack = np.array([
+                np.delete(num, b).mean() / (np.delete(den_a, b).mean() * np.delete(den_b, b).mean())
+                for b in range(nbat)
+            ])
+            se = np.sqrt((nbat - 1) / nbat * ((jack - jack.mean()) ** 2).sum())
+            assert e.stderr == pytest.approx(se, rel=1e-12)
+        assert report.bound == max(max(e.ratio, 1.0 / e.ratio) for e in report.entries)
 
 
 @pytest.mark.parametrize(
