@@ -3,6 +3,8 @@
 Subcommands cover the library surface: covariance profiles, ball and path
 samples, wave-identity verification, conditioned Gibbs runs, survival
 estimates, rate curves, the critical threshold, and its rigorous bracket.
+Only `gibbs` (scipy.special), `bounds` and `threshold` (also scipy.optimize,
+scipy.integrate) load scipy subpackages, on first use; the rest load none.
 
 Each subcommand returns its document and writes nothing: a payload dict for a
 JSON summary, or a (metadata, columns) pair for a CSV table.  `run` adds the

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import log_ndtr, ndtr, ndtri_exp
+import scipy
 
 from .errors import NumericalError, ValidationError
 from .spectral import CovarianceProfile
@@ -136,9 +135,9 @@ def truncated_standard(a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     u = rng.random(a.shape)
     # u = 0 with a << 0 would give log 1 = 0 and x = -inf; the cap keeps the
     # argument strictly below 0.
-    log_p = np.minimum(np.log1p(-u) + log_ndtr(-a), _LOG_BELOW_ONE)
+    log_p = np.minimum(np.log1p(-u) + scipy.special.log_ndtr(-a), _LOG_BELOW_ONE)
     # u near 0 puts x at a itself, where rounding can land an ulp below a.
-    return np.maximum(-ndtri_exp(log_p), a)
+    return np.maximum(-scipy.special.ndtri_exp(log_p), a)
 
 
 def orthant_edge_probability(rho: float, alpha: float) -> float:
@@ -160,13 +159,13 @@ def orthant_edge_probability(rho: float, alpha: float) -> float:
     if not math.isfinite(rho) or abs(rho) > 1.0:
         raise ValidationError(f"correlation must lie in [-1, 1], got {rho!r}")
     if rho == 1.0:
-        return float(ndtr(-alpha))
+        return float(scipy.special.ndtr(-alpha))
     if rho == -1.0:
-        return max(0.0, 1.0 - 2.0 * float(ndtr(alpha)))
+        return max(0.0, 1.0 - 2.0 * float(scipy.special.ndtr(alpha)))
     s = math.sqrt(1.0 - rho * rho)
 
     def integrand(x: float) -> float:
-        return math.exp(-0.5 * x * x) / _SQRT_2PI * float(ndtr((rho * x - alpha) / s))
+        return math.exp(-0.5 * x * x) / _SQRT_2PI * float(scipy.special.ndtr((rho * x - alpha) / s))
 
     # For |rho| near 1 the inner factor switches on a short scale around
     # x = alpha / rho; splitting there keeps the adaptive rule honest.  Past
@@ -177,6 +176,6 @@ def orthant_edge_probability(rho: float, alpha: float) -> float:
         pieces = [alpha, alpha / rho, math.inf]
     total = 0.0
     for lo, hi in zip(pieces[:-1], pieces[1:]):
-        val, _ = quad(integrand, lo, hi, epsabs=1e-12, epsrel=1e-11, limit=200)
+        val, _ = scipy.integrate.quad(integrand, lo, hi, epsabs=1e-12, epsrel=1e-11, limit=200)
         total += val
     return min(max(total, 0.0), 1.0)

@@ -23,9 +23,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import scipy
 from numpy.polynomial.legendre import leggauss
-from scipy.optimize import brentq
-from scipy.special import ndtr, owens_t
 
 from .errors import NumericalError, ValidationError
 from .gaussian import orthant_edge_probability
@@ -124,7 +123,7 @@ def survival_direct(
         raise ValidationError(f"alpha must be finite, got {alpha!r}")
     survivors = 0
     remaining = reps
-    chunk = max(1, (1 << 22) // max(n, 1))
+    chunk = max(1, (1 << 22) // n)
     while remaining > 0:
         m = min(chunk, remaining)
         vals = sample_path_many(profile, n, m, rng)
@@ -375,9 +374,9 @@ def haggstrom_alpha(profile: CovarianceProfile) -> float:
     slope = math.sqrt((1.0 - phi1) / (1.0 + phi1))
 
     def f(a: float) -> float:
-        return float(ndtr(-a) - 2.0 * owens_t(a, slope)) - target
+        return float(scipy.special.ndtr(-a) - 2.0 * scipy.special.owens_t(a, slope)) - target
 
-    root = float(brentq(f, -12.0, 12.0, xtol=1e-12, rtol=8.9e-16))
+    root = float(scipy.optimize.brentq(f, -12.0, 12.0, xtol=1e-12, rtol=8.9e-16))
     gap = orthant_edge_probability(phi1, root) - target
     if not abs(gap) <= _HAGGSTROM_CHECK_ATOL:
         raise NumericalError(
@@ -421,7 +420,7 @@ def critical_threshold(
     def f(a: float) -> float:
         return transfer_rate(profile, a, m, u_max_offset) - target
 
-    return float(brentq(f, lo, hi, xtol=tol))
+    return float(scipy.optimize.brentq(f, lo, hi, xtol=tol))
 
 
 @dataclass(frozen=True)

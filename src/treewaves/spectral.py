@@ -25,8 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.interpolate import PchipInterpolator
+import scipy
 
 from .errors import NumericalError, ValidationError
 
@@ -95,18 +94,18 @@ def spectral_density(point: SpectralPoint) -> float:
 
 
 @functools.cache
-def _lambda_inverse_cdf(d: int) -> PchipInterpolator:
+def _lambda_inverse_cdf(d: int) -> scipy.interpolate.PchipInterpolator:
     """Monotone-cubic inverse CDF table for the Kesten-McKay law, built once per d."""
     edge = spectral_edge(d)
     grid = np.linspace(-edge, edge, _LAMBDA_TABLE_NODES)
     pdf = np.array([spectral_density(SpectralPoint(d, float(v))) for v in grid])
-    cdf = np.concatenate(([0.0], cumulative_simpson(pdf, x=grid)))
+    cdf = np.concatenate(([0.0], scipy.integrate.cumulative_simpson(pdf, x=grid)))
     cdf /= cdf[-1]
     # The law is symmetric; average out the quadrature's tiny asymmetry so
     # the table median is exactly 0.
     cdf = 0.5 * (cdf + 1.0 - cdf[::-1])
     keep = np.concatenate(([True], np.diff(cdf) > 0.0))
-    return PchipInterpolator(cdf[keep], grid[keep], extrapolate=False)
+    return scipy.interpolate.PchipInterpolator(cdf[keep], grid[keep], extrapolate=False)
 
 
 def sample_lambda(d: int, rng: np.random.Generator) -> float:

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.special
 from scipy.optimize import brentq
 from scipy.special import ndtr
 
@@ -301,15 +302,16 @@ def test_critical_threshold_rate_evaluations(monkeypatch, d, lam_frac, tol):
 
 
 def test_haggstrom_alpha_evaluates_each_level_once(monkeypatch):
-    # brentq's levels go through Owen's T; the quadrature only checks the root
+    # brentq's levels go through Owen's T; the quadrature only checks the root.
+    # haggstrom_alpha reads scipy.special.owens_t at call time.
     calls = []
-    owens_t = levelset.owens_t
+    owens_t = scipy.special.owens_t
 
     def counting_owens_t(h, a):
         calls.append(h)
         return owens_t(h, a)
 
-    monkeypatch.setattr(levelset, "owens_t", counting_owens_t)
+    monkeypatch.setattr(scipy.special, "owens_t", counting_owens_t)
     assert tw.haggstrom_alpha(_profile()) == pytest.approx(HAGGSTROM_D3_L0, abs=1e-12)
     assert len(calls) > 2
     assert len(set(calls)) == len(calls)
