@@ -38,10 +38,12 @@ from .levelset import (
     expdec_alpha,
     extract_components,
     haggstrom_alpha,
+    site_alpha,
     survival_curve_smc,
     survival_direct,
     survival_ratio_bounds,
     transfer_rate,
+    union_alpha,
 )
 from .sampler import (
     BallSample,

@@ -44,9 +44,11 @@ from .levelset import (
     critical_threshold,
     expdec_alpha,
     haggstrom_alpha,
+    site_alpha,
     survival_curve_smc,
     survival_direct,
     transfer_rate,
+    union_alpha,
 )
 from .sampler import (
     DENSE_VERTEX_BUDGET,
@@ -339,14 +341,14 @@ def _cmd_rate(args) -> Document:
 
 def _cmd_threshold(args) -> Document:
     profile = build_profile(_point(args), 2)
-    # critical_threshold computes this bound again; bench/tracing.py times both names.
-    lo = haggstrom_alpha(profile)
-    hi = expdec_alpha(profile)
+    # critical_threshold searches [site, union]; haggstrom and expdec are reported only.
+    bracket = {"haggstrom": haggstrom_alpha(profile), "expdec": expdec_alpha(profile),
+               "site": site_alpha(profile), "union": union_alpha(profile)}
     alpha_c = critical_threshold(profile, args.tol, args.m, args.u_max_offset)
     rate_at = transfer_rate(profile, alpha_c, args.m, args.u_max_offset)
     return {
         "alpha_c": alpha_c,
-        "bracket": {"haggstrom": lo, "expdec": hi},
+        "bracket": bracket,
         "rate_at_alpha_c": rate_at,
         "target_rate": 1.0 / (args.d - 1.0),
         "quadrature": {"m": args.m, "u_max_offset": args.u_max_offset},
@@ -359,6 +361,8 @@ def _cmd_bounds(args) -> Document:
     return {
         "haggstrom_alpha": haggstrom_alpha(profile),
         "expdec_alpha": expdec_alpha(profile),
+        "site_alpha": site_alpha(profile),
+        "union_alpha": union_alpha(profile),
         "big_phi": profile.big_phi,
     }
 

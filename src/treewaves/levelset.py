@@ -11,8 +11,8 @@ transfer operator
 acting on functions of the last two surviving coordinates, with p the order-2
 Markov step density.  The level set on the tree percolates when branching
 beats decay, so the critical level alpha_c solves r(alpha) = 1/(d-1); it is
-bracketed below by the two-sided edge-survival rule (orthant probability
-reaching 2/d) and above by the union bound from the summed covariance profile.
+bracketed below by the site form of Haggstrom's mass-transport criterion
+(site_alpha) and above by the union bound over paths (union_alpha).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy
@@ -35,6 +35,8 @@ from .spectral import CovarianceProfile
 _POWER_RTOL = 1e-10
 _POWER_MAX_ITER = 10_000
 _POWER_MIN_ITER = 10
+# Kernel and iterate entries below this become 0: a product of two kept ones is normal.
+_FLOOR = math.sqrt(np.finfo(float).tiny)
 # Largest quadrature size m that transfer_rate accepts.  Each power iterate
 # is m x m and a call costs about m^3 flops: at m = 8192 the iterates alone
 # would take several GB.
@@ -294,8 +296,10 @@ def transfer_rate(
     F far from overflow.  P is divided by its largest entry over all blocks,
     exp(shift), so an operator deep in the tail keeps a nonzero iterate; the
     factor is restored on the returned eigenvalue, and an eigenvalue that
-    then underflows to 0 raises NumericalError.  The Gauss-Legendre nodes
-    and weights are built once per m and reused by later calls.
+    then underflows to 0 raises NumericalError.  Entries of P and of each
+    iterate g below _FLOOR = sqrt(tiny) ~ 1.5e-154 are set to 0, so P * g holds
+    no subnormal, whose arithmetic is slow on x86 (at d = 3 it would hold
+    some).  The Gauss-Legendre nodes and weights are built once per m.
     """
     if not 16 <= m <= QUADRATURE_M_MAX:
         raise ValidationError(f"quadrature size m must lie in [16, {QUADRATURE_M_MAX}], got {m}")
@@ -332,6 +336,7 @@ def transfer_rate(
     for _, log_p, _, _ in blocks:  # in place: each log P becomes P exp(-shift)
         log_p -= shift
         np.exp(log_p, out=log_p)
+        log_p[log_p < _FLOOR] = 0.0
     # From the second step on, g has unit weighted mass w g w, so w (T g) w
     # estimates the eigenvalue; the first estimate is never compared.
     g = np.ones((m, m))
@@ -353,31 +358,38 @@ def transfer_rate(
             return rate
         prev_ray = ray
         np.divide(h, ray, out=g)
+        g[g < _FLOOR] = 0.0
     raise NumericalError(
         f"power iteration did not converge in {_POWER_MAX_ITER} iterations"
     )
 
 
-def haggstrom_alpha(profile: CovarianceProfile) -> float:
-    """Level at which two-sided edge survival equals 2/d (percolation below).
+def _pair_root(profile: CovarianceProfile, scale: Callable[[float], float]) -> float:
+    """Root in [-12, 12] of P(X > a, Y > a) - (2/d) scale(a), with rho = phi(1).
 
-    brentq on [-12, 12] evaluates each end once and raises ValueError when the
-    bracket has no sign change.  Its levels use the closed form
-    P(X > a, Y > a) = Q(a) - 2 T(a, sqrt((1 - rho) / (1 + rho))) with Owen's T
-    (|rho| = |phi(1)| < 1 on the spectrum); the root is then checked once
-    against the quadrature of orthant_edge_probability, and a gap over
-    1e-9 from 2/d raises NumericalError.
+    brentq raises ValueError when the ends do not change sign; each level uses
+    P(X > a, Y > a) = Q(a) - 2 T(a, sqrt((1 - rho) / (1 + rho))) with Owen's T.
     """
     phi1 = profile.require(1)
-    d = profile.point.d
-    target = 2.0 / d
+    target = 2.0 / profile.point.d
     slope = math.sqrt((1.0 - phi1) / (1.0 + phi1))
 
     def f(a: float) -> float:
-        return float(scipy.special.ndtr(-a) - 2.0 * scipy.special.owens_t(a, slope)) - target
+        pair = scipy.special.ndtr(-a) - 2.0 * scipy.special.owens_t(a, slope)
+        return float(pair) - target * scale(a)
 
-    root = float(scipy.optimize.brentq(f, -12.0, 12.0, xtol=1e-12, rtol=8.9e-16))
-    gap = orthant_edge_probability(phi1, root) - target
+    return float(scipy.optimize.brentq(f, -12.0, 12.0, xtol=1e-12, rtol=8.9e-16))
+
+
+def haggstrom_alpha(profile: CovarianceProfile) -> float:
+    """Level at which two-sided edge survival equals 2/d (percolation below).
+
+    The bond form of Haggstrom's criterion, looser than site_alpha.  The Owen's
+    T root is checked once against orthant_edge_probability's quadrature; a
+    gap over 1e-9 from 2/d raises NumericalError.
+    """
+    root = _pair_root(profile, lambda a: 1.0)
+    gap = orthant_edge_probability(profile.require(1), root) - 2.0 / profile.point.d
     if not abs(gap) <= _HAGGSTROM_CHECK_ATOL:
         raise NumericalError(
             f"edge survival at the Owen's T root {root!r} misses 2/d by {gap:.3e}"
@@ -385,12 +397,31 @@ def haggstrom_alpha(profile: CovarianceProfile) -> float:
     return root
 
 
-def expdec_alpha(profile: CovarianceProfile) -> float:
-    """Level above which the union bound kills boundary connection.
+def site_alpha(profile: CovarianceProfile) -> float:
+    """Lower bound alpha_s for alpha_c: the site form of Haggstrom's criterion.
 
-    Survival decays at least like exp(-alpha^2 n / (2 big_phi)); spheres grow
-    like (d-1)^n, so alpha > sqrt(2 (d-1) big_phi) forces extinction, making
-    this an upper bound for the critical level.
+    By mass transport, an invariant site percolation on the tree with only
+    finite clusters has E[cluster degree of o; o open] < 2 P(o open).  So
+    kappa(a) = Q(a) - (d/2) P(X > a, Y > a) < 0 forces an infinite cluster of
+    {psi > a}; alpha_s is the root of kappa, by _pair_root.
+    """
+    return _pair_root(profile, lambda a: float(scipy.special.ndtr(-a)))
+
+
+def union_alpha(profile: CovarianceProfile) -> float:
+    """Upper bound alpha_u = sqrt(2 big_phi log(d-1)) for alpha_c.
+
+    Path survival decays at least like exp(-alpha^2 n / (2 big_phi)), and the
+    root cluster reaches sphere n only if one of d (d-1)^(n-1) paths survives.
+    """
+    return math.sqrt(2.0 * profile.big_phi * math.log(profile.point.d - 1.0))
+
+
+def expdec_alpha(profile: CovarianceProfile) -> float:
+    """Level sqrt(2 (d-1) big_phi) above which the union bound kills percolation.
+
+    The looser (d-1) form of union_alpha's log(d-1) bound, kept because
+    published outputs and the threshold tests report it.
     """
     d = profile.point.d
     return math.sqrt(2.0 * (d - 1.0) * profile.big_phi)
@@ -404,23 +435,20 @@ def critical_threshold(
 ) -> float:
     """Critical level alpha_c: where the decay rate crosses 1/(d-1).
 
-    Brent's method on transfer_rate(alpha) - 1/(d-1) over the widened
-    rigorous bracket [haggstrom - 1, expdec + 1], to absolute tolerance `tol`;
-    the rate is strictly decreasing in alpha, so the sign change is unique.
-    brentq evaluates each bracket end once and raises ValueError when the
-    bracket has no sign change.
+    Brent's method on transfer_rate(alpha) - 1/(d-1) over the rigorous
+    bracket [site_alpha, union_alpha], to absolute tolerance `tol`; the rate
+    is strictly decreasing in alpha, so the sign change is unique.  brentq
+    evaluates each bracket end once and raises ValueError when the bracket
+    has no sign change; the bracket is never widened.
     """
     if not (tol > 0.0) or not math.isfinite(tol):
         raise ValidationError(f"tol must be > 0, got {tol!r}")
-    d = profile.point.d
-    target = 1.0 / (d - 1.0)
-    lo = haggstrom_alpha(profile) - 1.0
-    hi = expdec_alpha(profile) + 1.0
+    target = 1.0 / (profile.point.d - 1.0)
 
     def f(a: float) -> float:
         return transfer_rate(profile, a, m, u_max_offset) - target
 
-    return float(scipy.optimize.brentq(f, lo, hi, xtol=tol))
+    return float(scipy.optimize.brentq(f, site_alpha(profile), union_alpha(profile), xtol=tol))
 
 
 @dataclass(frozen=True)

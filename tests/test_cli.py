@@ -1,5 +1,9 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -377,7 +381,10 @@ def test_threshold_json_keys(tmp_path):
     out = tmp_path / "t.json"
     run(["threshold", "--d", "3", "--lambda", "0", "--tol", "1e-3", "--out", str(out)])
     doc = json.loads(out.read_text())
-    assert doc["bracket"]["haggstrom"] < doc["alpha_c"] < doc["bracket"]["expdec"]
+    bracket = doc["bracket"]
+    assert list(bracket) == ["haggstrom", "expdec", "site", "union"]
+    assert bracket["haggstrom"] < bracket["site"] < doc["alpha_c"]
+    assert doc["alpha_c"] < bracket["union"] < bracket["expdec"]
     assert doc["target_rate"] == 0.5
     assert abs(doc["rate_at_alpha_c"] - 0.5) < 0.05
     assert doc["quadrature"]["m"] == 64
@@ -390,6 +397,20 @@ def test_bounds_json(tmp_path):
     assert doc["haggstrom_alpha"] == pytest.approx(-0.90209418401443608, abs=1e-9)
     assert doc["expdec_alpha"] == pytest.approx(np.sqrt(12.0), rel=1e-9)
     assert doc["big_phi"] == pytest.approx(3.0, abs=1e-9)
+    assert doc["site_alpha"] == pytest.approx(-0.4307, abs=1e-4)
+    assert doc["union_alpha"] == pytest.approx(np.sqrt(6.0 * np.log(2.0)), rel=1e-9)
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "treewaves", "bounds", "--d", "3", "--lambda", "0"]
+    proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["haggstrom_alpha"] == pytest.approx(-0.90209418401443608, abs=1e-9)
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -251,6 +251,31 @@ def test_transfer_rate_collapses_at_lower_edge(d):
         tw.transfer_rate(prof, tw.expdec_alpha(prof) + 1.0)
 
 
+# Rates recorded before the kernel floored its sub-1.5e-154 entries to 0, at
+# d = 3, where the step s.d. is 0.29 and the unfloored kernel and iterate hold
+# subnormal doubles: (lambda/edge, alpha, m, repr of the rate).
+PINNED_D3_RATES = [
+    (-1.0, -1.9674215658616867, 64, "0.986670041300001"),
+    (-1.0, -1.9674215658616867, 128, "0.9866700293661786"),
+    (1.0, -1.5615619635848215, 64, "0.984891120327947"),
+    (1.0, -1.5615619635848215, 128, "0.9848911203279402"),
+    (-1.0, -0.17209, 64, "0.4999980614773923"),
+    (-1.0, -0.17209, 128, "0.4999980614774357"),
+    (1.0, 2.8341, 64, "0.4999997867482618"),
+    (1.0, 2.8341, 128, "0.49999978674826373"),
+    (-1.0, 3.5, 64, "3.0675934287766005e-274"),  # deep tail
+]
+
+
+@pytest.mark.parametrize("frac, alpha, m, rate", PINNED_D3_RATES)
+def test_transfer_rate_floor_keeps_every_bit(frac, alpha, m, rate):
+    # the first alpha of each edge is haggstrom - 1; the other two sit near alpha_c
+    prof = _profile(3, frac * tw.spectral_edge(3), 2)
+    if alpha < -1.5:
+        assert alpha == tw.haggstrom_alpha(prof) - 1.0
+    assert repr(tw.transfer_rate(prof, alpha, m)) == rate
+
+
 def test_transfer_rate_memory_is_quadratic_in_m():
     prof = _profile()
     tracemalloc.start()
@@ -280,6 +305,66 @@ def test_critical_threshold_regression():
     assert ac == pytest.approx(ALPHA_C_D3_L0, abs=3e-4)
     assert tw.transfer_rate(prof, ac) == pytest.approx(0.5, abs=1e-3)
     assert tw.haggstrom_alpha(prof) < ac < tw.expdec_alpha(prof)
+
+
+def _threshold_or_none(d, frac):
+    """(profile, alpha_c), alpha_c None where the search collapses."""
+    prof = _profile(d, frac * tw.spectral_edge(d), 2)
+    try:
+        return prof, tw.critical_threshold(prof)
+    except NumericalError as exc:
+        assert "collapsed" in str(exc)
+        return prof, None
+
+
+def test_site_and_union_bracket_alpha_c():
+    collapsed = []
+    for d in (3, 4, 5, 8, 16, 100, 640, 1000):
+        for frac in (-1.0, -0.95, -0.5, 0.0, 0.5, 1.0):
+            prof, ac = _threshold_or_none(d, frac)
+            lo, hi = tw.site_alpha(prof), tw.union_alpha(prof)
+            # the new bracket lies inside the old one
+            assert tw.haggstrom_alpha(prof) < lo and hi < tw.expdec_alpha(prof)
+            if ac is None:
+                collapsed.append((d, frac))
+            else:
+                assert lo < ac < hi
+    assert collapsed == [(3, -1.0)]
+
+
+def test_threshold_search_collapses_only_at_d3_lower_edge():
+    # with the old bracket [haggstrom - 1, expdec + 1], 11 of these 20 collapsed
+    collapsed = [
+        (d, frac)
+        for d in (3, 4, 640, 1000)
+        for frac in (-1.0, -0.95, -0.5, 0.0, 1.0)
+        if _threshold_or_none(d, frac)[1] is None
+    ]
+    assert collapsed == [(3, -1.0)]
+
+
+def test_site_alpha_defining_equation_and_union_alpha():
+    for d in (3, 5, 100):
+        for frac in (-1.0, 0.0, 1.0):
+            prof = _profile(d, frac * tw.spectral_edge(d), 2)
+            a = tw.site_alpha(prof)
+            # kappa(a) = Q(a) - (d/2) P(X > a, Y > a) = 0, pair mass by quadrature
+            pair = tw.orthant_edge_probability(prof.phi[1], a)
+            assert ndtr(-a) == pytest.approx(0.5 * d * pair, rel=1e-8)
+    # big_phi = 3 at d = 3, lambda = 0
+    assert tw.union_alpha(_profile()) == pytest.approx(np.sqrt(6.0 * np.log(2.0)), rel=1e-9)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6, 7, 8])
+def test_site_alpha_sign_follows_sheppard(d):
+    # Sheppard: P(X > 0, Y > 0) = 1/4 + arcsin(rho) / (2 pi) with rho = lambda/d,
+    # so kappa(0) < 0, i.e. site_alpha > 0, exactly when lambda > -d cos(2 pi / d)
+    edge = tw.spectral_edge(d)
+    boundary = -d * np.cos(2.0 * np.pi / d)
+    for lam in np.linspace(-edge, edge, 41):
+        if abs(lam - boundary) < 1e-6:
+            continue
+        assert (tw.site_alpha(_profile(d, lam, 2)) > 0.0) == (lam > boundary)
 
 
 @pytest.mark.parametrize("d, lam_frac, tol", [(3, 0.0, 1e-4), (16, -0.3, 1e-5)])
