@@ -63,6 +63,7 @@ from .spectral import (
     SpectralPoint,
     TreeParams,
     build_profile,
+    kesten_mckay_cdf,
     repulsion_coefficients,
     sample_lambda,
     sample_lambda_many,

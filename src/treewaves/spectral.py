@@ -14,18 +14,20 @@ used here as a cross-check, is the wave recursion
     phi(0) = 1,    d * phi(1) = lambda,
     lambda * phi(k) = phi(k-1) + (d-1) * phi(k+1)    for k >= 1.
 
-Random eigenvalues follow the Kesten-McKay density; `sample_lambda` draws from
-it through a tabulated inverse CDF.
+Random eigenvalues follow the Kesten-McKay law, whose CDF has the closed form
+
+    F(lambda) = 1/2 + (d / 2 pi) * (theta - c * arctan(c * tan(theta))),
+    theta = arcsin(lambda / (2 sqrt(d-1))),    c = (d-2) / d;
+
+`sample_lambda` draws from it by inverting F with Newton steps.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .errors import NumericalError, ValidationError
 
@@ -36,8 +38,8 @@ SPECTRAL_EDGE_RTOL = 1e-12
 ROUTE_AGREEMENT_TOL = 1e-10
 # Absolute truncation target for the summed covariance profile big_phi.
 _TAIL_SUM_TOL = 1e-12
-
-_LAMBDA_TABLE_NODES = 8193
+# Newton steps of the inverse CDF; four reach |F(lambda) - u| <= 4e-15 (worst at d = 3).
+_NEWTON_STEPS = 4
 
 
 def spectral_edge(d: int) -> float:
@@ -73,9 +75,7 @@ class SpectralPoint:
         edge = spectral_edge(self.d)
         if not math.isfinite(lam) or abs(lam) > edge * (1.0 + SPECTRAL_EDGE_RTOL):
             raise ValidationError(
-                f"lambda must satisfy |lambda| <= 2*sqrt(d-1) = {edge:.12g}, "
-                f"got {lam!r}"
-            )
+                f"lambda must satisfy |lambda| <= 2*sqrt(d-1) = {edge:.12g}, got {lam!r}")
         # Clamp roundoff-level excursions so downstream sqrt(4(d-1)-lambda^2)
         # stays real at the spectral edge.
         object.__setattr__(self, "lam", min(max(lam, -edge), edge))
@@ -93,19 +93,20 @@ def spectral_density(point: SpectralPoint) -> float:
     return d / (2.0 * math.pi) * math.sqrt(disc) / (d * d - lam * lam)
 
 
-@functools.cache
-def _lambda_inverse_cdf(d: int) -> scipy.interpolate.PchipInterpolator:
-    """Monotone-cubic inverse CDF table for the Kesten-McKay law, built once per d."""
-    edge = spectral_edge(d)
-    grid = np.linspace(-edge, edge, _LAMBDA_TABLE_NODES)
-    pdf = np.array([spectral_density(SpectralPoint(d, float(v))) for v in grid])
-    cdf = np.concatenate(([0.0], scipy.integrate.cumulative_simpson(pdf, x=grid)))
-    cdf /= cdf[-1]
-    # The law is symmetric; average out the quadrature's tiny asymmetry so
-    # the table median is exactly 0.
-    cdf = 0.5 * (cdf + 1.0 - cdf[::-1])
-    keep = np.concatenate(([True], np.diff(cdf) > 0.0))
-    return scipy.interpolate.PchipInterpolator(cdf[keep], grid[keep], extrapolate=False)
+def _edge_mass(d: int, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F(-edge cos(psi)) and its psi-derivative for psi in [0, pi]: the module's F at
+    theta = psi - pi/2, free of tan's pole at the edges and of cancellation at large d."""
+    sin, cos = np.sin(psi), np.cos(psi)
+    h = 0.5 * (d - 2.0)
+    mass = (psi - h * np.arctan(sin * cos / (h + sin * sin))) / np.pi
+    return mass, d * (d - 1.0) * sin * sin / (2.0 * np.pi * (h * h + (d - 1.0) * sin * sin))
+
+
+def kesten_mckay_cdf(d: int, lam: np.ndarray | float) -> np.ndarray | float:
+    """Kesten-McKay CDF F(lambda) (module docstring), elementwise; 0 below -edge, 1 above edge."""
+    TreeParams(d)
+    x = np.clip(-np.asarray(lam, dtype=float) / spectral_edge(d), -1.0, 1.0)
+    return _edge_mass(d, np.arccos(x))[0]
 
 
 def sample_lambda(d: int, rng: np.random.Generator) -> float:
@@ -114,15 +115,30 @@ def sample_lambda(d: int, rng: np.random.Generator) -> float:
 
 
 def sample_lambda_many(d: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized `sample_lambda`: `size` iid draws as an array."""
+    """Vectorized `sample_lambda`: `size` iid draws, each F^-1(u) for one uniform u.
+
+    By symmetry lambda = -+edge cos(psi), where M(psi) = F(-edge cos(psi)) = min(u, 1-u).
+    M is increasing and convex on [0, pi/2]; bounding sin(psi) between 2 psi / pi and
+    psi in M' gives a bracket [lo, hi] proportional to min(u, 1-u)^(1/3).  Newton steps
+    on the nearly linear M^(1/3) start at M's tangent at pi/2 and stay in the bracket.
+    """
     TreeParams(d)
+    if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
+        raise ValidationError(f"size must be an integer, got {size!r}")
     if size < 0:
         raise ValidationError(f"size must be >= 0, got {size}")
-    table = _lambda_inverse_cdf(d)
     u = rng.random(size)
-    edge = spectral_edge(d)
-    out = table(np.clip(u, table.x[0], table.x[-1]))
-    return np.clip(out, -edge, edge)
+    s = np.minimum(u, 1.0 - u)
+    root = np.cbrt(s)
+    lo = root * np.cbrt(3.0 * np.pi * (d - 2.0) ** 2 / (2.0 * d * (d - 1.0)))
+    hi = np.minimum(root * np.cbrt(3.0 * np.pi**3 * d / (8.0 * (d - 1.0))), np.pi / 2)
+    psi = np.clip(np.pi / 2 - (0.5 - s) * np.pi * d / (2.0 * (d - 1.0)), lo, hi)
+    for _ in range(_NEWTON_STEPS):
+        mass, slope = _edge_mass(d, psi)
+        m = np.cbrt(mass)
+        step = np.divide(3.0 * m * m * (m - root), slope, out=np.zeros(size), where=slope > 0.0)
+        psi = np.clip(psi - step, lo, hi)
+    return np.copysign(spectral_edge(d) * np.cos(psi), u - 0.5)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,9 +166,7 @@ class CovarianceProfile:
     def require(self, n: int) -> float:
         """phi(n), failing loudly when the profile is too short."""
         if n < 0 or n > self.n_max:
-            raise ValidationError(
-                f"profile holds phi(0..{self.n_max}); phi({n}) is unavailable"
-            )
+            raise ValidationError(f"profile holds phi(0..{self.n_max}); phi({n}) is unavailable")
         return float(self.phi[n])
 
 
@@ -172,8 +186,7 @@ def _phi_closed_form(point: SpectralPoint, n_max: int) -> np.ndarray:
 def _phi_recursion(point: SpectralPoint, n_max: int) -> np.ndarray:
     d, lam = point.d, point.lam
     phi = np.empty(n_max + 1)
-    phi[0] = 1.0
-    phi[1] = lam / d
+    phi[:2] = 1.0, lam / d
     for k in range(1, n_max):
         phi[k + 1] = (lam * phi[k] - phi[k - 1]) / (d - 1.0)
     return phi
@@ -200,22 +213,12 @@ def _big_phi(point: SpectralPoint) -> float:
 
 
 def build_profile(point: SpectralPoint, n_max: int) -> CovarianceProfile:
-    """Covariance profile phi(0..n_max) at a spectral point.
+    """Covariance profile phi(0..n_max), n_max >= 2, at a spectral point.
 
-    Parameters
-    ----------
-    point : SpectralPoint
-        Degree and eigenvalue.
-    n_max : int
-        Largest distance to tabulate, at least 2.
-
-    Returns
-    -------
-    CovarianceProfile
-        phi computed from the closed Chebyshev form, cross-checked against the
-        wave recursion.  The forward recursion is numerically stable (both
-        homogeneous solutions decay like (d-1)^(-k/2)), so any disagreement
-        above ROUTE_AGREEMENT_TOL signals a bug rather than conditioning.
+    phi comes from the closed Chebyshev form, cross-checked against the wave
+    recursion.  The forward recursion is numerically stable (both homogeneous
+    solutions decay like (d-1)^(-k/2)), so any disagreement above
+    ROUTE_AGREEMENT_TOL signals a bug rather than conditioning.
     """
     if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)):
         raise ValidationError(f"n_max must be an integer, got {n_max!r}")
@@ -226,9 +229,7 @@ def build_profile(point: SpectralPoint, n_max: int) -> CovarianceProfile:
     gap = float(np.max(np.abs(closed - recur)))
     if gap > ROUTE_AGREEMENT_TOL:
         raise NumericalError(
-            f"covariance routes disagree by {gap:.3e} at "
-            f"(d={point.d}, lambda={point.lam!r})"
-        )
+            f"covariance routes disagree by {gap:.3e} at (d={point.d}, lambda={point.lam!r})")
     return CovarianceProfile(point=point, phi=closed, big_phi=_big_phi(point))
 
 
@@ -248,6 +249,4 @@ def repulsion_coefficients(point: SpectralPoint) -> RepulsionCoefficients:
     """Closed-form bulk conditional-mean coefficients (a1, a2)."""
     d, lam = point.d, point.lam
     denom = lam * lam + (d - 1.0) ** 2 + 1.0
-    return RepulsionCoefficients(
-        a1=2.0 * d * lam / denom, a2=2.0 * (d - 1.0) / denom
-    )
+    return RepulsionCoefficients(a1=2.0 * d * lam / denom, a2=2.0 * (d - 1.0) / denom)

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import treewaves as tw
 from treewaves.cli import _build_parser, run
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -48,3 +49,6 @@ def test_readme_library_quick_start():
     assert ns["prof"].big_phi == pytest.approx(3.0, abs=1e-9)
     assert "(4, 300, 20)" in block
     assert ns["states"].shape == (4, 300, 20)
+    assert "1000 uniforms back to 4e-15" in block
+    u = np.random.default_rng(1).random(1000)
+    np.testing.assert_allclose(tw.kesten_mckay_cdf(3, ns["lams"]), u, rtol=0, atol=4e-15)

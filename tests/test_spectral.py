@@ -142,6 +142,61 @@ def test_sample_lambda_scalar_matches_stream():
     np.testing.assert_allclose(single, batch, rtol=0.0, atol=0.0)
 
 
+def test_sample_lambda_size_must_be_a_nonnegative_integer():
+    rng = np.random.default_rng(0)
+    for size in (2.0, True, -1):
+        with pytest.raises(ValidationError):
+            tw.sample_lambda_many(3, size, rng)
+    empty = tw.sample_lambda_many(3, 0, rng)
+    assert empty.shape == (0,)
+
+
+KM_DEGREES = (3, 4, 10, 100, 1000)
+
+
+def test_kesten_mckay_cdf_closed_form():
+    for d in KM_DEGREES:
+        edge = tw.spectral_edge(d)
+        assert tw.kesten_mckay_cdf(d, -edge) == pytest.approx(0.0, abs=1e-15)
+        assert tw.kesten_mckay_cdf(d, edge) == pytest.approx(1.0, abs=1e-15)
+        assert tw.kesten_mckay_cdf(d, 0.0) == pytest.approx(0.5, abs=1e-15)
+        assert tw.kesten_mckay_cdf(d, [-2 * edge, 2 * edge]).tolist() == [0.0, 1.0]
+        grid = np.linspace(0.0, edge, 1001)
+        np.testing.assert_allclose(tw.kesten_mckay_cdf(d, -grid), 1.0 - tw.kesten_mckay_cdf(d, grid),
+                                   rtol=0.0, atol=1e-15)
+        lam = np.linspace(-0.999 * edge, 0.999 * edge, 2001)
+        h = 1e-6 * edge
+        slope = (tw.kesten_mckay_cdf(d, lam + h) - tw.kesten_mckay_cdf(d, lam - h)) / (2 * h)
+        rho = np.array([tw.spectral_density(tw.SpectralPoint(d, float(x))) for x in lam])
+        np.testing.assert_allclose(slope, rho, rtol=0.0, atol=1e-8)
+
+
+class _FixedUniforms:
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, size):
+        assert size == len(self.u)
+        return self.u.copy()
+
+
+def test_sample_lambda_inverts_the_cdf_at_the_edges():
+    edges = [0.0, 1e-300, 1e-9, 0.5, 1.0 - 1e-9, 1.0 - 2.0**-53]
+    # deep in the lower tail F's rounding error swamps the mass; the Newton
+    # bracket must still hold the draw near the root
+    tail = np.logspace(-300, -1, 1000)
+    u = np.concatenate([edges, tail, np.random.default_rng(5).random(10_000)])
+    for d in (*range(3, 25), 100, 1000):
+        lam = tw.sample_lambda_many(d, len(u), _FixedUniforms(u))
+        assert np.abs(lam).max() <= tw.spectral_edge(d)
+        assert np.abs(tw.kesten_mckay_cdf(d, lam) - u).max() <= 2e-14  # 4e-15 at d = 3
+    # roots of the module docstring's F at these uniforms, solved to 40 digits
+    pinned = [0.82432783023986322, 2.3614954003530012, 1.7389238638377178,
+              -1.7339110792193606, -1.2939039578991725]
+    got = tw.sample_lambda_many(3, 5, np.random.default_rng(7))
+    np.testing.assert_allclose(got, pinned, rtol=0.0, atol=1e-13)
+
+
 def test_repulsion_coefficients_frozen():
     c = tw.repulsion_coefficients(tw.SpectralPoint(3, 0.0))
     assert c.a1 == pytest.approx(0.0, abs=0.0)

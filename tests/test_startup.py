@@ -1,4 +1,4 @@
-"""A fresh process loads only the scipy subpackages its subcommand calls."""
+"""A fresh process loads only the scipy subpackages its subcommand or sampler calls."""
 
 import os
 import subprocess
@@ -10,6 +10,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 CHILD = r"""
 import sys
 
+import numpy as np
 import treewaves
 import treewaves.cli as cli
 
@@ -37,6 +38,10 @@ SCIPY_FREE = [
 for i, argv in enumerate(SCIPY_FREE):
     assert cli.run(argv + ["--out", f"{tmp}/out{i}"]) == 0, argv
     assert loaded() == [], (argv, loaded())
+
+treewaves.sample_lambda_many(3, 1000, np.random.default_rng(0))
+treewaves.kesten_mckay_cdf(3, 0.5)
+assert loaded() == [], loaded()
 
 gibbs = ["gibbs", "--d", "3", "--lambda", "0", "--alpha", "0", "--n", "5", "--sweeps", "20",
          "--burnin", "5"]
