@@ -71,6 +71,7 @@ CSV_BLOCK_ROWS = 1 << 14
 # characters), so an n-vertex table holds about n^2 characters: ~100 MB at 10^4.
 PATH_CSV_MAX_N = 10**4
 PROFILE_MAX_N = 10**6  # phi(n) is exactly 0.0 past n ~ 2100 at d = 3; 10^6 rows take ~10 MB
+PATH_MAX_N = 10**6  # survival and gibbs paths; a Gibbs plan build at 10^6 peaks near 170 MB
 M_HELP = (
     f"quadrature nodes per axis, 16 to {QUADRATURE_M_MAX}; memory grows like m^2 "
     "(under 8 MB at m=256) and time like m^3"
@@ -216,10 +217,15 @@ def _cmd_sample_ball(args) -> Document:
     return {"sampler": sample.sampler, "radius": args.radius}, columns
 
 
+def _path_profile(args, max_n: int) -> CovarianceProfile:
+    """The profile to distance 2 the path steps read, once --n fits max_n."""
+    if args.n > max_n:
+        raise ValidationError(f"--n {args.n} over the budget of {max_n}")
+    return build_profile(_point(args), 2)
+
+
 def _cmd_sample_path(args) -> Document:
-    if args.n > PATH_CSV_MAX_N:
-        raise ValidationError(f"path length {args.n} over the budget of {PATH_CSV_MAX_N}")
-    profile = build_profile(_point(args), 2)  # the path steps read phi(1), phi(2)
+    profile = _path_profile(args, PATH_CSV_MAX_N)
     rng = _rng(args)
     values = sample_path_many(profile, args.n, 1, rng)[0]
     # the path follows child 0 from the root
@@ -267,8 +273,7 @@ def _cmd_gibbs(args) -> Document:
         grid = _float_list(args.tail_grid, "--tail-grid")
     else:
         grid = [args.alpha + off for off in (0.5, 1.0, 1.5, 2.0)]
-    profile = build_profile(_point(args), 4)
-    plan = build_gibbs_plan(profile, args.n)
+    plan = build_gibbs_plan(_path_profile(args, PATH_MAX_N), args.n)
     rng = _rng(args)
     states = gibbs_run(
         plan, args.alpha, args.sweeps, args.burnin, args.thin, rng, args.chains
@@ -297,7 +302,7 @@ def _cmd_gibbs(args) -> Document:
 
 
 def _cmd_survival(args) -> Document:
-    profile = build_profile(_point(args), 2)  # the path steps read phi(1), phi(2)
+    profile = _path_profile(args, PATH_MAX_N)
     rng = _rng(args)
     if args.method == "direct":
         est = survival_direct(profile, args.n, args.alpha, args.reps, rng)
@@ -454,6 +459,8 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ValidationError(f"--seed must be >= 0, got {args.seed}")
         doc = args.func(args)
         if isinstance(doc, dict):
             chunks = [_json_text(_summary(args, doc)), "\n"]

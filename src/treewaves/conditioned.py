@@ -1,18 +1,19 @@
 """Gibbs sampling of the wave process on a geodesic conditioned to stay above
 a level.
 
-Conditioning a path coordinate on the rest of the path reduces, by the order-2
-Markov property, to conditioning on its neighbors within distance two.  The
-full conditionals are therefore lower-truncated normals whose means are short
-linear stencils:
+Along a geodesic the wave is an order-2 Gaussian Markov chain: the path
+density is the product of the steps of `sampler.path_step_table`, and its
+precision is pentadiagonal.  The full conditionals are therefore
+lower-truncated normals whose means are stencils on the neighbors within
+distance two:
 
     interior:  a1/2 * (nearest sum) - a2/2 * (second-nearest sum)
     ends:      (lambda * (next) - (next-next)) / (d-1)   and its mirror
     2nd/2nd-last: ((d-1) lambda psi_out + d lambda psi_in - (d-1) psi_in2)
                   / (lambda^2 + (d-1)^2)
 
-`build_gibbs_plan` derives every stencil twice, from the closed forms above
-and from Schur complements of the local covariance window, and refuses to
+`build_gibbs_plan` reads every stencil off the precision band of the step law,
+checks it against the closed forms above wherever they apply, and refuses to
 proceed if they disagree.  It stores them as one (n, 4) band of weights on
 the coordinates at offsets -2, -1, +1, +2.
 
@@ -33,10 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .gaussian import conditional, truncated_standard
+from .gaussian import truncated_standard
+from .sampler import path_step_table
 from .spectral import CovarianceProfile, repulsion_coefficients
 
-# Max |closed form - Schur| tolerated across plan coefficients.
+# Max |closed form - step-law precision| tolerated across plan coefficients.
 PLAN_AGREEMENT_TOL = 1e-10
 
 DEFAULT_BURNIN = 1000
@@ -62,61 +64,51 @@ class GibbsPlan:
     sigma2: np.ndarray
 
 
-def _closed_form_stencil(
-    profile: CovarianceProfile, n: int, k: int
-) -> np.ndarray | None:
-    """Closed-form conditional-mean coefficients at 0-based position k.
-
-    Returns None when the position's full stencil does not fit in the path
-    (short paths near the ends), in which case only the Schur route applies.
-    Coefficients align with ascending neighbor index.
-    """
+def _closed_form_band(profile: CovarianceProfile, n: int) -> np.ndarray:
+    """Closed-form conditional-mean coefficients as an (n, 4) band; NaN in the
+    rows whose stencil does not fit in the path (short paths near the ends)."""
     d, lam = profile.point.d, profile.point.lam
-    if k == 0 and n >= 3:
-        return np.array([lam, -1.0]) / (d - 1.0)
-    if k == n - 1 and n >= 3:
-        return np.array([-1.0, lam]) / (d - 1.0)
+    rep = repulsion_coefficients(profile.point)
     denom = lam * lam + (d - 1.0) ** 2
-    if k == 1 and n >= 4:
-        return np.array([(d - 1.0) * lam, d * lam, -(d - 1.0)]) / denom
-    if k == n - 2 and n >= 4:
-        return np.array([-(d - 1.0), d * lam, (d - 1.0) * lam]) / denom
-    if 2 <= k <= n - 3:
-        rep = repulsion_coefficients(profile.point)
-        return np.array([-rep.a2, rep.a1, rep.a1, -rep.a2]) / 2.0
-    return None
+    band = np.full((n, len(OFFSETS)), np.nan)
+    band[2 : n - 2] = np.array([-rep.a2, rep.a1, rep.a1, -rep.a2]) / 2.0
+    if n >= 4:
+        band[1] = np.array([0.0, (d - 1.0) * lam, d * lam, -(d - 1.0)]) / denom
+        band[n - 2] = np.array([-(d - 1.0), d * lam, (d - 1.0) * lam, 0.0]) / denom
+    if n >= 3:
+        band[0] = np.array([0.0, 0.0, lam, -1.0]) / (d - 1.0)
+        band[n - 1] = np.array([-1.0, lam, 0.0, 0.0]) / (d - 1.0)
+    return band
 
 
 def build_gibbs_plan(profile: CovarianceProfile, n: int) -> GibbsPlan:
-    """Derive and cross-check the full-conditional stencils for an n-path."""
+    """The stencils of an n-path, read off the precision Q of its step law and
+    checked against the closed forms.  Step k is N(b1_k x_{k-2} + b2_k x_{k-1},
+    1/w_k); with zero steps past the path, Q[k, k] = w_k + b2_{k+1}^2 w_{k+1}
+    + b1_{k+2}^2 w_{k+2}, Q[k, k+1] = b1_{k+2} b2_{k+2} w_{k+2} - b2_{k+1} w_{k+1}
+    and Q[k, k+2] = -b1_{k+2} w_{k+2}.  Offset j weighs -Q[k, k+j] / Q[k, k],
+    and the residual variance is 1 / Q[k, k]."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise ValidationError(f"path length must be an integer, got {n!r}")
     if n < 1:
         raise ValidationError(f"path length must be >= 1, got {n}")
     n = int(n)
-    profile.require(min(4, n - 1) if n > 1 else 0)
-    coeffs = np.zeros((n, len(OFFSETS)))
-    sigma2 = np.empty(n)
-    for k in range(n):
-        inside = (k + OFFSETS >= 0) & (k + OFFSETS < n)
-        nbrs = k + OFFSETS[inside]
-        window = np.concatenate(([k], nbrs))
-        dist = np.abs(window[:, None] - window[None, :])
-        cov = profile.phi[dist]
-        cond = conditional(cov, given=range(1, len(window)), target=[0])
-        coef = cond.coeff[0]
-        var = float(cond.residual[0, 0])
-        closed = _closed_form_stencil(profile, n, k)
-        if closed is not None:
-            gap = float(np.max(np.abs(coef - closed)))
-            if gap > PLAN_AGREEMENT_TOL:
-                raise NumericalError(
-                    f"conditional stencil mismatch at position {k + 1}: "
-                    f"closed form and Schur complement differ by {gap:.3e}"
-                )
-        coeffs[k, inside] = coef
-        sigma2[k] = var
-    return GibbsPlan(profile=profile, n=n, coeffs=coeffs, sigma2=sigma2)
+    b1, b2, w = np.zeros((3, n + 2))
+    b1[:n], b2[:n], var = np.array(path_step_table(profile, n)).T
+    w[:n] = 1.0 / var
+    diag = w[:n] + (b2 * b2 * w)[1 : n + 1] + (b1 * b1 * w)[2:]
+    up1 = (b1 * b2 * w)[2:] - (b2 * w)[1 : n + 1]
+    up2 = -(b1 * w)[2:]
+    # Q[k, k+j] is zero for k + j >= n, so rolling an upper band gives the lower.
+    coeffs = -np.column_stack((np.roll(up2, 2), np.roll(up1, 1), up1, up2)) / diag[:, None]
+    gaps = np.abs(coeffs - _closed_form_band(profile, n))
+    bad = np.flatnonzero((gaps > PLAN_AGREEMENT_TOL).any(axis=1))
+    if bad.size:
+        raise NumericalError(
+            f"conditional stencil mismatch at position {bad[0] + 1}: closed form "
+            f"and step-law precision differ by {gaps[bad[0]].max():.3e}"
+        )
+    return GibbsPlan(profile=profile, n=n, coeffs=coeffs, sigma2=1.0 / diag)
 
 
 def gibbs_run(

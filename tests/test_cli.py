@@ -11,7 +11,7 @@ from scipy.special import ndtr
 
 import treewaves as tw
 from treewaves import levelset
-from treewaves.cli import PATH_CSV_MAX_N, _build_parser, run
+from treewaves.cli import PATH_CSV_MAX_N, PATH_MAX_N, _build_parser, run
 
 from tree_reference import ball_addresses, to_string
 
@@ -85,6 +85,49 @@ def test_sample_path_budget_rejected_before_any_work(monkeypatch, capsys):
     assert run(["sample-path", "--d", "3", "--lambda", "0", "--n", "5"]) == 1
 
 
+def test_path_budget_rejected_before_any_work(monkeypatch, capsys):
+    import treewaves.cli as cli_mod
+
+    def boom(*a, **k):
+        raise RuntimeError("work started")
+
+    monkeypatch.setattr(cli_mod, "build_profile", boom)
+    commands = (
+        ["survival", "--method", "direct", "--reps", "1"],
+        ["survival", "--method", "smc"],
+        ["gibbs", "--sweeps", "2"],
+    )
+    for command in commands:
+        argv = command + ["--d", "3", "--lambda", "0", "--alpha", "0", "--n"]
+        for n in (PATH_MAX_N + 1, 10**8):
+            assert run(argv + [str(n)]) == 2
+            err = capsys.readouterr().err
+            assert "budget" in err and "--n" in err
+        # an n inside the budget does reach the (patched) work
+        assert run(argv + ["5"]) == 1
+
+
+def test_negative_seed_rejected_before_any_work(monkeypatch, capsys):
+    import treewaves.cli as cli_mod
+
+    def boom(*a, **k):
+        raise RuntimeError("work started")
+
+    monkeypatch.setattr(cli_mod, "build_profile", boom)
+    monkeypatch.setattr(cli_mod, "shell_sizes", boom)
+    for argv in (
+        ["sample-ball", "--radius", "2"],
+        ["sample-path", "--n", "5"],
+        ["verify", "--radius", "2"],
+        ["gibbs", "--n", "5", "--alpha", "0", "--sweeps", "20"],
+        ["survival", "--n", "5", "--alpha", "0"],
+    ):
+        assert run(argv + ["--d", "3", "--lambda", "0", "--seed", "-1"]) == 2
+        assert "--seed" in capsys.readouterr().err
+        # seed 0 does reach the (patched) work
+        assert run(argv + ["--d", "3", "--lambda", "0", "--seed", "0"]) == 1
+
+
 def test_gibbs_without_retained_sweeps_rejected_before_any_sweep(monkeypatch, capsys):
     import treewaves.conditioned as conditioned_mod
 
@@ -153,7 +196,9 @@ def test_path_commands_build_the_profile_to_two(monkeypatch, tmp_path):
     assert run(["sample-path"] + common) == 0
     assert run(["survival", "--alpha", "0", "--particles", "1000"] + common) == 0
     assert run(["survival", "--alpha", "0", "--method", "direct", "--reps", "100"] + common) == 0
-    assert built == [2, 2, 2]
+    assert run(["gibbs", "--alpha", "0", "--sweeps", "20", "--burnin", "10", "--thin", "1"]
+               + common) == 0
+    assert built == [2, 2, 2, 2]
 
 
 def test_quadrature_size_over_the_cap_rejected_before_any_nodes(monkeypatch, capsys):

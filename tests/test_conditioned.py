@@ -1,8 +1,11 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
 import treewaves as tw
-from treewaves.errors import ValidationError
+from treewaves.errors import NumericalError, ValidationError
 
 EXACT_CENTER_MEAN_N10 = 0.5010661815344436  # quadrature value, d=3 lam=0 alpha=0
 
@@ -39,13 +42,15 @@ def test_plan_bulk_matches_repulsion_coefficients():
 
 
 def test_plan_matches_conditional_on_everything():
-    # coordinates farther than two steps carry no weight, so the window
-    # conditional must equal the conditional on all other coordinates
-    n = 8
-    for d, lam in ((3, 0.0), (3, 1.2), (4, 2.0)):
-        prof = tw.build_profile(tw.SpectralPoint(d, lam), n)
+    # coordinates farther than two steps carry no weight, so the stencil must
+    # equal the conditional on all other coordinates; the plan reads phi(1),
+    # phi(2) only, so a profile to distance 2 serves any n
+    points = [(3, 0.0), (3, 1.2), (4, 2.0), (100, 5.0)]
+    points += [(d, s * tw.spectral_edge(d)) for d in (3, 100) for s in (1, -1)]
+    for (d, lam), n, n_max in itertools.product(points, range(1, 10), (4, 2)):
+        prof = tw.build_profile(tw.SpectralPoint(d, lam), max(n, 2))
         cov = prof.phi[np.abs(np.subtract.outer(np.arange(n), np.arange(n)))]  # geodesic
-        plan = tw.build_gibbs_plan(tw.build_profile(tw.SpectralPoint(d, lam), 4), n)
+        plan = tw.build_gibbs_plan(tw.build_profile(tw.SpectralPoint(d, lam), n_max), n)
         for k in range(n):
             others = [i for i in range(n) if i != k]
             cg = tw.conditional(cov, others, [k])
@@ -59,6 +64,29 @@ def test_plan_matches_conditional_on_everything():
                     assert plan.coeffs[k, j] == 0.0
             np.testing.assert_allclose(dense, window, atol=1e-9)
             assert plan.sigma2[k] == pytest.approx(cg.residual[0, 0], abs=1e-9)
+
+
+def test_plan_cross_check_names_the_first_bad_position(monkeypatch):
+    import treewaves.conditioned as conditioned_mod
+
+    real = conditioned_mod.repulsion_coefficients
+    monkeypatch.setattr(
+        conditioned_mod, "repulsion_coefficients",
+        lambda point: dataclasses.replace(real(point), a1=1.001 * real(point).a1),
+    )
+    with pytest.raises(NumericalError, match="mismatch at position 3:"):
+        tw.build_gibbs_plan(_profile(3, 1.0), 9)
+
+
+def test_long_plan_from_profile_to_two_repeats_the_short_one():
+    prof = tw.build_profile(tw.SpectralPoint(3, 1.0), 2)
+    short = tw.build_gibbs_plan(prof, 9)
+    n = 10**5
+    long = tw.build_gibbs_plan(prof, n)
+    for got, want in ((long.coeffs, short.coeffs), (long.sigma2, short.sigma2)):
+        np.testing.assert_allclose(got[:3], want[:3], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(got[n // 2], want[4], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(got[-3:], want[-3:], rtol=0, atol=1e-14)
 
 
 def test_plan_small_paths():
