@@ -26,6 +26,7 @@ import argparse
 import functools
 import math
 import sys
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -134,30 +135,22 @@ def _summary(args, payload: dict) -> dict:
     }
 
 
-def _cells(column) -> list[str]:
-    """One CSV column as text: a list holds strings already; an integer array
-    is printed with str, a float array with 17 significant digits."""
-    if isinstance(column, list):
-        return column
-    if column.dtype.kind in "iu":
-        return list(map(str, column.tolist()))
-    return [f"{v:.17g}" for v in column.tolist()]
-
-
 def _csv_chunks(args, meta: dict, columns: dict) -> Iterator[str]:
-    """Metadata block, header and one row per entry of the named columns.
-
-    Rows are formatted and yielded CSV_BLOCK_ROWS at a time, so no full copy
-    of a large table is ever held as text.
-    """
+    """Metadata block, header and one row per entry of the named columns:
+    strings from a list, integers like str, floats with 17 significant digits.
+    Rows are formatted CSV_BLOCK_ROWS at a time, one `%` per block, so no full
+    copy of a large table is ever held as text."""
     lines = [f"# {k}={v if isinstance(v, str) else _json_text(v)}"
              for k, v in _summary(args, meta).items()]
     lines.append(",".join(columns))
     yield "\n".join(lines) + "\n"
+    row = ",".join("%s" if isinstance(c, list) else "%d" if c.dtype.kind in "iu" else "%.17g"
+                   for c in columns.values()) + "\n"
     size = len(next(iter(columns.values())))
     for lo in range(0, size, CSV_BLOCK_ROWS):
-        cells = [_cells(c[lo : lo + CSV_BLOCK_ROWS]) for c in columns.values()]
-        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+        hi = min(lo + CSV_BLOCK_ROWS, size)
+        block = [c[lo:hi] if isinstance(c, list) else c[lo:hi].tolist() for c in columns.values()]
+        yield (row * (hi - lo)) % tuple(chain.from_iterable(zip(*block)))
 
 
 def _float_list(text: str, flag: str) -> list[float]:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -94,7 +95,7 @@ def build_gibbs_plan(profile: CovarianceProfile, n: int) -> GibbsPlan:
         raise ValidationError(f"path length must be >= 1, got {n}")
     n = int(n)
     b1, b2, w = np.zeros((3, n + 2))
-    b1[:n], b2[:n], var = np.array(path_step_table(profile, n)).T
+    b1[:n], b2[:n], var = np.fromiter(chain(*path_step_table(profile, n)), float).reshape(n, 3).T
     w[:n] = 1.0 / var
     diag = w[:n] + (b2 * b2 * w)[1 : n + 1] + (b1 * b1 * w)[2:]
     up1 = (b1 * b2 * w)[2:] - (b2 * w)[1 : n + 1]

@@ -166,6 +166,21 @@ class SurvivalCurve:
         )
 
 
+def _systematic_pick(alive: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Indices into alive.ravel() that resample each row of `alive` systematically:
+    slot j of row b, with A_b survivors, takes the survivor of rank floor((u_b + j)
+    A_b / per) = (j A_b + floor(u_b A_b)) // per of row b, below A_b since the double
+    u_b A_b < A_b for every u_b < 1.  A row with no survivor keeps its slots."""
+    per = alive.shape[1]
+    keep = alive | ~alive.any(axis=1, keepdims=True)
+    count = np.count_nonzero(keep, axis=1)
+    rank = np.multiply.outer(count, np.arange(per))  # in place from here: no temporaries
+    rank += (u * count).astype(np.intp)[:, None]
+    rank //= per
+    rank += (np.cumsum(count) - count)[:, None]
+    return np.flatnonzero(keep).take(rank)
+
+
 def _smc_factors(
     nbat: int,
     per: int,
@@ -178,29 +193,19 @@ def _smc_factors(
     `prev` and `cur` hold the last two coordinates of every particle, zero
     before the first step.  Step (b1, b2, var) draws the next coordinate as
     b1 * prev + b2 * cur + sqrt(var) * N(0, 1), records each batch's fraction
-    above alpha, and resamples the survivors uniformly within the batch.  A
+    above alpha, and resamples every batch systematically from one uniform.  A
     batch with no survivor is dead and records 0 from then on.  Returns the
-    fractions, shape (nbat, len(steps)).
-    """
-    prev = np.zeros((nbat, per))
-    cur = np.zeros((nbat, per))
+    fractions, shape (nbat, len(steps))."""
+    prev, cur = np.zeros((2, nbat, per))
     factors = np.zeros((nbat, len(steps)))
     dead = np.zeros(nbat, dtype=bool)
     for k, (b1, b2, var) in enumerate(steps):
         nxt = b1 * prev + b2 * cur + math.sqrt(var) * rng.standard_normal((nbat, per))
         alive = nxt > alpha
+        dead |= ~alive.any(axis=1)
         factors[:, k] = np.where(dead, 0.0, alive.mean(axis=1))
-        prev, cur = cur, nxt
-        for b in range(nbat):
-            if dead[b]:
-                continue
-            idx = np.flatnonzero(alive[b])
-            if idx.size == 0:
-                dead[b] = True
-                continue
-            pick = idx[rng.integers(0, idx.size, per)]
-            cur[b] = cur[b, pick]
-            prev[b] = prev[b, pick]
+        pick = _systematic_pick(alive, rng.random(nbat))
+        prev, cur = cur.take(pick), nxt.take(pick)
     return factors
 
 
@@ -212,13 +217,14 @@ def survival_curve_smc(
     rng: np.random.Generator,
     batches: int = 16,
 ) -> SurvivalCurve:
-    """Sequential Monte Carlo along the path with multinomial resampling.
+    """Sequential Monte Carlo along the path with systematic resampling.
 
     Particles carry the last two surviving coordinates; each step multiplies
-    the estimator by the surviving fraction and resamples within each of the
-    independent batches.  The per-step fraction estimator makes every batch's
-    prefix product unbiased for P(n); the standard error is the batch spread
-    over sqrt(batches).  Nothing is drawn after the particle loop.
+    the estimator by the surviving fraction and resamples each independent
+    batch systematically, from one uniform per batch and step.  The per-step
+    fraction estimator makes every batch's prefix product unbiased for P(n);
+    the standard error is the batch spread over sqrt(batches).  Nothing is
+    drawn after the particle loop.
     """
     if n_max < 1:
         raise ValidationError(f"n_max must be >= 1, got {n_max}")

@@ -406,6 +406,24 @@ def test_sample_path_csv_contents(tmp_path, monkeypatch):
         assert other.read_bytes() == out.read_bytes()
 
 
+@pytest.mark.parametrize("block", [1, 3, None])
+def test_csv_rows_match_per_value_formatting(block, monkeypatch):
+    import treewaves.cli as cli_mod
+
+    if block is not None:
+        monkeypatch.setattr(cli_mod, "CSV_BLOCK_ROWS", block)
+    values = np.array([-0.0, 5e-324, 1e-5, 1e16, 1e17, 0.1, -2.5])
+    columns = {"vertex": ["", "0", "0/1", "2/0/1", "1", "0/0", "2"],
+               "depth": np.array([0, 1, 2, 3, 1, 2, -1]), "value": values}
+    args = argparse.Namespace(d=3, lam=0.0, seed=0)
+    text = "".join(cli_mod._csv_chunks(args, {"n": 7}, columns))
+    body = text.split("vertex,depth,value\n", 1)[1]
+    ref = "".join(",".join((a, str(k), f"{v:.17g}")) + "\n"
+                  for a, k, v in zip(columns["vertex"], columns["depth"].tolist(), values.tolist()))
+    assert body == ref
+    assert body.splitlines()[:2] == [",0,-0", "0,1,4.9406564584124654e-324"]
+
+
 def test_rate_csv(tmp_path):
     out = tmp_path / "r.csv"
     run(["rate", "--d", "3", "--lambda", "0", "--alphas=-0.5,0,0.5", "--m", "32", "--out", str(out)])

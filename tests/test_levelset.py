@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -165,6 +166,44 @@ def test_smc_draws_nothing_after_the_particle_loop():
     )
     assert np.array_equal(np.cumprod(factors, axis=1), curve.batch_estimates)
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("u", [0.0, 0.3, 0.999, 1.0 - 2.0**-53])
+def test_systematic_pick_resamples_each_row_within_itself(u):
+    per = 48
+    rng = np.random.default_rng(41)
+    # a dead row, rows from one survivor to all of them, and a lone survivor
+    # in the last slot next to the following row's first one
+    alive = rng.random((7, per)) < np.array([0.0, 0.05, 0.3, 0.6, 0.9, 1.0, 0.0])[:, None]
+    alive[1, :] = False
+    alive[1, -1] = True
+    alive[2, 0] = True
+    alive[6, [0, 5]] = True
+    us = np.full(7, u)
+    pick = levelset._systematic_pick(alive, us)
+    assert pick.shape == alive.shape
+    rows, cols = np.divmod(pick, per)
+    assert (rows == np.arange(7)[:, None]).all()  # no row borrows another's particles
+    assert np.array_equal(cols[0], np.arange(per))  # the dead row keeps its slots
+    for b in range(1, 7):
+        live = np.flatnonzero(alive[b])
+        assert alive[b, cols[b]].all()
+        # rank floor((u + j) A / per) in exact arithmetic
+        ranks = [int((Fraction(u) + j) * live.size // per) for j in range(per)]
+        assert cols[b].tolist() == live[ranks].tolist()
+        copies = np.bincount(cols[b], minlength=per)[live]
+        assert set(copies.tolist()) <= {per // live.size, -(-per // live.size)}
+        assert copies.sum() == per
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_smc_two_step_survival_matches_orthant(d, side):
+    prof = _profile(d, side * tw.spectral_edge(d), 2)
+    alpha = 0.4
+    exact = tw.orthant_edge_probability(prof.require(1), alpha)
+    est = tw.survival_curve_smc(prof, 2, alpha, 40_000, np.random.default_rng(43)).estimate(2)
+    assert abs(est.p_hat - exact) <= 4.5 * est.stderr
 
 
 def test_smc_memory_is_linear_in_length():
@@ -493,7 +532,7 @@ def test_ratio_bounds_structure():
     "alpha, n, m, reps",
     [
         (3.0, 8, 8, 1000),  # every length of the ratio is dead
-        (1.0, 2, 8, 200),  # only the numerator P(n + m) is dead
+        (1.0, 2, 27, 200),  # only the numerator P(n + m) is dead
     ],
 )
 def test_ratio_bounds_dead_curve_raises(alpha, n, m, reps):
@@ -504,7 +543,7 @@ def test_ratio_bounds_dead_curve_raises(alpha, n, m, reps):
         tw.survival_ratio_bounds(prof, alpha, [n], [m], reps, np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("alpha, seed", [(0.8, 10), (0.8, 17), (1.0, 0), (1.0, 4)])
+@pytest.mark.parametrize("alpha, seed", [(0.8, 3), (0.8, 6), (1.0, 0), (1.0, 1)])
 def test_ratio_bounds_single_live_batch_raises(alpha, seed):
     # one of four batches alive at the denominator length 6: its leave-one-out
     # mean is 0, so the jackknife would divide 0 by 0
