@@ -19,10 +19,8 @@ from .conditioned import (
 )
 from .errors import NumericalError, ValidationError
 from .gaussian import (
-    ConditionalGaussian,
     PsdFactor,
     assemble_covariance,
-    conditional,
     factor_psd,
     orthant_edge_probability,
     truncated_standard,
@@ -61,7 +59,6 @@ from .spectral import (
     CovarianceProfile,
     RepulsionCoefficients,
     SpectralPoint,
-    TreeParams,
     build_profile,
     kesten_mckay_cdf,
     repulsion_coefficients,

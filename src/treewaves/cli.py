@@ -73,6 +73,8 @@ CSV_BLOCK_ROWS = 1 << 14
 PATH_CSV_MAX_N = 10**4
 PROFILE_MAX_N = 10**6  # phi(n) is exactly 0.0 past n ~ 2100 at d = 3; 10^6 rows take ~10 MB
 PATH_MAX_N = 10**6  # survival and gibbs paths; a Gibbs plan build at 10^6 peaks near 170 MB
+SMC_MAX_PARTICLES = 10**7  # survival --method smc peaks near 55 MB per 10^6 particles
+RATE_MAX_STEPS = 10**4  # rate --alpha-steps; every level costs two transfer-operator solves
 M_HELP = (
     f"quadrature nodes per axis, 16 to {QUADRATURE_M_MAX}; memory grows like m^2 "
     "(under 8 MB at m=256) and time like m^3"
@@ -295,6 +297,9 @@ def _cmd_gibbs(args) -> Document:
 
 
 def _cmd_survival(args) -> Document:
+    if args.method == "smc" and args.particles > SMC_MAX_PARTICLES:
+        raise ValidationError(
+            f"--particles {args.particles} over the budget of {SMC_MAX_PARTICLES}")
     profile = _path_profile(args, PATH_MAX_N)
     rng = _rng(args)
     if args.method == "direct":
@@ -319,6 +324,9 @@ def _parse_alpha_grid(args) -> list[float]:
         return _float_list(args.alphas, "--alphas")
     if args.alpha_steps < 2:
         raise ValidationError("--alpha-steps must be >= 2")
+    if args.alpha_steps > RATE_MAX_STEPS:
+        raise ValidationError(
+            f"--alpha-steps {args.alpha_steps} over the budget of {RATE_MAX_STEPS}")
     if not (math.isfinite(args.alpha_min) and math.isfinite(args.alpha_max)):
         raise ValidationError("--alpha-min and --alpha-max must be finite")
     if not args.alpha_max > args.alpha_min:
@@ -417,7 +425,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--method", choices=["direct", "smc"], default="smc")
     p.add_argument("--reps", type=int, default=100_000, help="direct-method draws")
-    p.add_argument("--particles", type=int, default=10_000, help="smc particles")
+    p.add_argument("--particles", type=int, default=10_000,
+                   help=f"smc particles, 100 to {SMC_MAX_PARTICLES}")
     p.add_argument("--batches", type=int, default=16)
     p.set_defaults(func=_cmd_survival)
 
@@ -426,7 +435,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphas", default=None, help="comma list of levels")
     p.add_argument("--alpha-min", type=float, default=-1.0)
     p.add_argument("--alpha-max", type=float, default=2.0)
-    p.add_argument("--alpha-steps", type=int, default=13)
+    p.add_argument("--alpha-steps", type=int, default=13, help=f"2 to {RATE_MAX_STEPS}")
     p.add_argument("--m", type=int, default=64, help=M_HELP)
     p.add_argument("--u-max-offset", type=float, default=8.0)
     p.set_defaults(func=_cmd_rate)

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -89,13 +88,10 @@ def build_gibbs_plan(profile: CovarianceProfile, n: int) -> GibbsPlan:
     + b1_{k+2}^2 w_{k+2}, Q[k, k+1] = b1_{k+2} b2_{k+2} w_{k+2} - b2_{k+1} w_{k+1}
     and Q[k, k+2] = -b1_{k+2} w_{k+2}.  Offset j weighs -Q[k, k+j] / Q[k, k],
     and the residual variance is 1 / Q[k, k]."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ValidationError(f"path length must be an integer, got {n!r}")
-    if n < 1:
-        raise ValidationError(f"path length must be >= 1, got {n}")
-    n = int(n)
+    steps = path_step_table(profile, n)
+    n = len(steps)
     b1, b2, w = np.zeros((3, n + 2))
-    b1[:n], b2[:n], var = np.fromiter(chain(*path_step_table(profile, n)), float).reshape(n, 3).T
+    b1[:n], b2[:n], var = steps.T
     w[:n] = 1.0 / var
     diag = w[:n] + (b2 * b2 * w)[1 : n + 1] + (b1 * b1 * w)[2:]
     up1 = (b1 * b2 * w)[2:] - (b2 * w)[1 : n + 1]

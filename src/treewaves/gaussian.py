@@ -1,19 +1,17 @@
 """Dense Gaussian machinery: covariance assembly, rank-aware factorization,
-conditioning, truncated-normal sampling, and the bivariate orthant probability.
+truncated-normal sampling, and the bivariate orthant probability.
 
 Ball covariances of the wave process are singular by construction (one exact
-linear constraint per interior vertex), so everything here is written against
-possibly rank-deficient matrices: factorization keeps only eigenvalues above a
-relative cutoff and conditioning uses numpy's Hermitian pseudo-inverse with
-the same cutoff.  Truncated normals come from one inverse CDF on the log
-survival scale, which stays accurate arbitrarily deep in the tail.
+linear constraint per interior vertex), so factorization is written against
+possibly rank-deficient matrices and keeps only eigenvalues above a relative
+cutoff.  Truncated normals come from one inverse CDF on the log survival
+scale, which stays accurate arbitrarily deep in the tail.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 import scipy
@@ -22,8 +20,7 @@ from .errors import NumericalError, ValidationError
 from .spectral import CovarianceProfile
 from .tree import Ball, pairwise_distances
 
-# Eigenvalues below RANK_RTOL * (largest eigenvalue) count as zero, both when
-# factoring and when inverting for conditioning.
+# Eigenvalues below RANK_RTOL * (largest eigenvalue) count as zero when factoring.
 RANK_RTOL = 1e-9
 # Any eigenvalue below this absolute floor means the input was never a
 # covariance matrix; that is an upstream bug, not data.
@@ -79,49 +76,6 @@ def factor_psd(matrix: np.ndarray) -> PsdFactor:
     factor = v[:, keep] * np.sqrt(w[keep])
     factor.flags.writeable = False
     return PsdFactor(factor)
-
-
-@dataclass(frozen=True)
-class ConditionalGaussian:
-    """Conditional law of the target block given the conditioning block:
-    mean = coeff @ given_values, covariance = residual."""
-
-    coeff: np.ndarray
-    residual: np.ndarray
-
-
-def conditional(
-    matrix: np.ndarray, given: Sequence[int], target: Sequence[int]
-) -> ConditionalGaussian:
-    """Schur-complement conditioning through numpy's Hermitian pseudo-inverse.
-
-    The pseudo-inverse drops eigenvalues of the given block whose magnitude is
-    at most RANK_RTOL times the largest, the factorization cutoff, so
-    conditioning on a singular block is well defined as long as the
-    conditioning values respect the block's exact linear constraints.
-    """
-    c = np.asarray(matrix, dtype=float)
-    given = list(int(i) for i in given)
-    target = list(int(i) for i in target)
-    if len(target) == 0:
-        raise ValidationError("conditional requires a nonempty target block")
-    if set(given) & set(target):
-        raise ValidationError("given and target blocks must be disjoint")
-    n = c.shape[0]
-    for i in given + target:
-        if i < 0 or i >= n:
-            raise ValidationError(f"index {i} outside matrix of size {n}")
-    c22 = c[np.ix_(target, target)]
-    if len(given) == 0:
-        return ConditionalGaussian(
-            coeff=np.zeros((len(target), 0)), residual=c22.copy()
-        )
-    c11 = c[np.ix_(given, given)]
-    c21 = c[np.ix_(target, given)]
-    coeff = c21 @ np.linalg.pinv(c11, rcond=RANK_RTOL, hermitian=True)
-    residual = c22 - coeff @ c21.T
-    residual = 0.5 * (residual + residual.T)
-    return ConditionalGaussian(coeff=coeff, residual=residual)
 
 
 def truncated_standard(a: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -184,18 +184,19 @@ def _systematic_pick(alive: np.ndarray, u: np.ndarray) -> np.ndarray:
 def _smc_factors(
     nbat: int,
     per: int,
-    steps: Sequence[tuple[float, float, float]],
+    steps: np.ndarray,
     alpha: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Per-step surviving fractions of `nbat` batches of `per` particles.
 
     `prev` and `cur` hold the last two coordinates of every particle, zero
-    before the first step.  Step (b1, b2, var) draws the next coordinate as
-    b1 * prev + b2 * cur + sqrt(var) * N(0, 1), records each batch's fraction
-    above alpha, and resamples every batch systematically from one uniform.  A
-    batch with no survivor is dead and records 0 from then on.  Returns the
-    fractions, shape (nbat, len(steps))."""
+    before the first step.  Each (b1, b2, var) row of the `path_step_table`
+    array `steps` draws the next coordinate as b1 * prev + b2 * cur +
+    sqrt(var) * N(0, 1), records each batch's fraction above alpha, and
+    resamples every batch systematically from one uniform.  A batch with no
+    survivor is dead and records 0 from then on.  Returns the fractions,
+    shape (nbat, len(steps))."""
     prev, cur = np.zeros((2, nbat, per))
     factors = np.zeros((nbat, len(steps)))
     dead = np.zeros(nbat, dtype=bool)

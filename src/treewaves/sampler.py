@@ -23,9 +23,11 @@ draws repeat per call: the ball and the dense factor are built once per
 
 A geodesic path is order-2 Markov: given the two previous coordinates the next
 one is Gaussian with mean b1 * (two back) + b2 * (one back) and variance var.
-`path_step_table`, the (b1, b2, var) of every coordinate from the first, is the
-one step law: `sample_path_many` iterates it over a batch of independent
-paths, and `levelset` runs its SMC estimator and transfer operator on it.
+`path_step_table` is the one step law: a read-only (n, 3) float64 array whose
+row k holds the (b1, b2, var) of coordinate k + 1.  Only its first two rows
+differ from the rest.  `sample_path_many` iterates the rows over a batch of
+independent paths, `conditioned` reads the Gibbs stencils off its columns,
+and `levelset` runs its SMC estimator and transfer operator on it.
 """
 
 from __future__ import annotations
@@ -69,26 +71,31 @@ class BallSample:
         object.__setattr__(self, "values", vals)
 
 
-def path_step_table(
-    profile: CovarianceProfile, n: int
-) -> list[tuple[float, float, float]]:
-    """(b1, b2, var) for each of n path coordinates: coordinate k is
-    Normal(b1 * (coordinate k-2) + b2 * (coordinate k-1), var), with zeros
-    before the path.  Coordinate 1 is N(0, 1), coordinate 2 its
-    phi(1)-correlated successor, and the order-2 kernel carries on from there.
+def path_step_table(profile: CovarianceProfile, n: int) -> np.ndarray:
+    """Read-only (n, 3) float64 array of (b1, b2, var) rows, one per path
+    coordinate: coordinate k is Normal(b1 * (coordinate k-2) + b2 *
+    (coordinate k-1), var), with zeros before the path.  Coordinate 1 is
+    N(0, 1), coordinate 2 its phi(1)-correlated successor, and the order-2
+    kernel row fills the rest.
     """
-    steps = [(0.0, 0.0, 1.0)]
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValidationError(f"path length must be an integer, got {n!r}")
+    if n < 1:
+        raise ValidationError(f"path length must be >= 1, got {n}")
+    steps = np.empty((int(n), 3))
+    steps[0] = 0.0, 0.0, 1.0
     if n >= 2:
         phi1 = profile.require(1)
         denom = 1.0 - phi1 * phi1
-        steps.append((0.0, phi1, denom))
+        steps[1] = 0.0, phi1, denom
     if n >= 3:
         phi2 = profile.require(2)
         if abs(phi1) >= 1.0 - _PHI1_DEGENERACY_TOL:
             raise NumericalError(f"degenerate step kernel: |phi(1)| = {abs(phi1)!r}")
         b1 = (phi2 - phi1 * phi1) / denom
         b2 = phi1 * (1.0 - phi2) / denom
-        steps += [(b1, b2, 1.0 - b1 * phi2 - b2 * phi1)] * (n - 2)
+        steps[2:] = b1, b2, 1.0 - b1 * phi2 - b2 * phi1
+    steps.flags.writeable = False
     return steps
 
 
@@ -96,13 +103,15 @@ def sample_path_many(
     profile: CovarianceProfile, n: int, reps: int, rng: np.random.Generator
 ) -> np.ndarray:
     """reps independent path draws stacked as a (reps, n) matrix."""
-    if n < 1:
-        raise ValidationError(f"path length must be >= 1, got {n}")
+    steps = path_step_table(profile, n)
     if reps < 1:
         raise ValidationError(f"reps must be >= 1, got {reps}")
-    out = np.empty((reps, n))
+    out = np.empty((reps, len(steps)))
     prev = cur = 0.0  # no coordinates before the path
-    for k, (b1, b2, var) in enumerate(path_step_table(profile, n)):
+    for k, row in enumerate(steps):
+        # Python floats: a numpy scalar on the left of `b1 * prev + b2 * cur`
+        # keeps numpy from reusing the temporary, one more (reps,) array.
+        b1, b2, var = row.tolist()
         noise = rng.standard_normal(reps)
         noise *= math.sqrt(var)
         np.add(b1 * prev + b2 * cur, noise, out=out[:, k])

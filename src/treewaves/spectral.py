@@ -47,18 +47,13 @@ def spectral_edge(d: int) -> float:
     return 2.0 * math.sqrt(d - 1.0)
 
 
-@dataclass(frozen=True)
-class TreeParams:
-    """Degree parameter of the regular tree (d >= 3)."""
-
-    d: int
-
-    def __post_init__(self) -> None:
-        if isinstance(self.d, bool) or not isinstance(self.d, (int, np.integer)):
-            raise ValidationError(f"degree d must be an integer, got {self.d!r}")
-        object.__setattr__(self, "d", int(self.d))
-        if self.d < 3:
-            raise ValidationError(f"degree d must be >= 3, got {self.d}")
+def _degree(d) -> int:
+    """The tree degree d as an int; a bool, a non-integer or d < 3 is rejected."""
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
+        raise ValidationError(f"degree d must be an integer, got {d!r}")
+    if d < 3:
+        raise ValidationError(f"degree d must be >= 3, got {d}")
+    return int(d)
 
 
 @dataclass(frozen=True)
@@ -69,8 +64,7 @@ class SpectralPoint:
     lam: float
 
     def __post_init__(self) -> None:
-        TreeParams(self.d)
-        object.__setattr__(self, "d", int(self.d))
+        object.__setattr__(self, "d", _degree(self.d))
         lam = float(self.lam)
         edge = spectral_edge(self.d)
         if not math.isfinite(lam) or abs(lam) > edge * (1.0 + SPECTRAL_EDGE_RTOL):
@@ -104,7 +98,7 @@ def _edge_mass(d: int, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def kesten_mckay_cdf(d: int, lam: np.ndarray | float) -> np.ndarray | float:
     """Kesten-McKay CDF F(lambda) (module docstring), elementwise; 0 below -edge, 1 above edge."""
-    TreeParams(d)
+    _degree(d)
     x = np.clip(-np.asarray(lam, dtype=float) / spectral_edge(d), -1.0, 1.0)
     return _edge_mass(d, np.arccos(x))[0]
 
@@ -122,7 +116,7 @@ def sample_lambda_many(d: int, size: int, rng: np.random.Generator) -> np.ndarra
     psi in M' gives a bracket [lo, hi] proportional to min(u, 1-u)^(1/3).  Newton steps
     on the nearly linear M^(1/3) start at M's tangent at pi/2 and stay in the bracket.
     """
-    TreeParams(d)
+    _degree(d)
     if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
         raise ValidationError(f"size must be an integer, got {size!r}")
     if size < 0:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .spectral import TreeParams
+from .spectral import _degree
 
 # Refuse to enumerate balls beyond this many vertices unless the caller raises
 # the budget explicitly.
@@ -25,7 +25,7 @@ DEFAULT_VERTEX_BUDGET = 10**6
 
 def sphere_size(d: int, k: int) -> int:
     """Number of vertices at distance exactly k from a vertex."""
-    TreeParams(d)
+    _degree(d)
     if k < 0:
         raise ValidationError(f"sphere radius must be >= 0, got {k}")
     if k == 0:
@@ -35,7 +35,7 @@ def sphere_size(d: int, k: int) -> int:
 
 def ball_vertex_count(d: int, r: int) -> int:
     """Number of vertices within distance r: 1 + d((d-1)^r - 1)/(d-2)."""
-    TreeParams(d)
+    _degree(d)
     if r < 0:
         raise ValidationError(f"ball radius must be >= 0, got {r}")
     return 1 + d * ((d - 1) ** r - 1) // (d - 2)

@@ -11,7 +11,14 @@ from scipy.special import ndtr
 
 import treewaves as tw
 from treewaves import levelset
-from treewaves.cli import PATH_CSV_MAX_N, PATH_MAX_N, _build_parser, run
+from treewaves.cli import (
+    PATH_CSV_MAX_N,
+    PATH_MAX_N,
+    RATE_MAX_STEPS,
+    SMC_MAX_PARTICLES,
+    _build_parser,
+    run,
+)
 
 from tree_reference import ball_addresses, to_string
 
@@ -105,6 +112,27 @@ def test_path_budget_rejected_before_any_work(monkeypatch, capsys):
             assert "budget" in err and "--n" in err
         # an n inside the budget does reach the (patched) work
         assert run(argv + ["5"]) == 1
+
+
+def test_particle_and_step_budgets_rejected_before_any_work(monkeypatch, capsys):
+    import treewaves.cli as cli_mod
+
+    def boom(*a, **k):
+        raise RuntimeError("work started")
+
+    monkeypatch.setattr(cli_mod, "build_profile", boom)
+    cases = (
+        (["survival", "--method", "smc", "--alpha", "0", "--n", "5", "--particles"],
+         SMC_MAX_PARTICLES),
+        (["rate", "--alpha-steps"], RATE_MAX_STEPS),
+    )
+    for command, budget in cases:
+        argv = command[:1] + ["--d", "3", "--lambda", "0"] + command[1:]
+        for value in (budget + 1, 10**9):
+            assert run(argv + [str(value)]) == 2
+            assert f"over the budget of {budget}" in capsys.readouterr().err
+        # a value at the budget does reach the (patched) work
+        assert run(argv + [str(budget)]) == 1
 
 
 def test_negative_seed_rejected_before_any_work(monkeypatch, capsys):

@@ -6,6 +6,7 @@ from treewaves.cli import run
 from treewaves.errors import ValidationError
 from treewaves.sampler import DENSE_VERTEX_BUDGET, _dense_ball
 
+from gaussian_reference import conditional
 from tree_reference import address_index, ball_addresses
 
 
@@ -38,11 +39,20 @@ def test_path_step_table_first_rows():
         prof = _profile(d, lam, 4)
         phi1 = prof.require(1)
         steps = tw.path_step_table(prof, 6)
-        assert steps[0] == (0.0, 0.0, 1.0)
-        assert steps[1] == (0.0, phi1, 1.0 - phi1 * phi1)
-        assert steps[2:] == [tw.path_step_table(prof, 3)[-1]] * 4
-        assert tw.path_step_table(prof, 2) == steps[:2]
-        assert tw.path_step_table(prof, 1) == steps[:1]
+        assert steps.dtype == np.float64 and steps.shape == (6, 3)
+        assert not steps.flags.writeable
+        steps = steps.tolist()
+        assert steps[0] == [0.0, 0.0, 1.0]
+        assert steps[1] == [0.0, phi1, 1.0 - phi1 * phi1]
+        assert steps[2:] == [tw.path_step_table(prof, 3)[-1].tolist()] * 4
+        assert tw.path_step_table(prof, 2).tolist() == steps[:2]
+        assert tw.path_step_table(prof, 1).tolist() == steps[:1]
+
+
+@pytest.mark.parametrize("n", [True, 2.5, 0, -4])
+def test_path_step_table_rejects_bad_lengths(n):
+    with pytest.raises(ValidationError, match="path length"):
+        tw.path_step_table(_profile(), n)
 
 
 def test_path_sample_shapes_and_validation():
@@ -241,7 +251,7 @@ def test_family_law_is_the_closed_form(d):
             ([w, 1, 0], [lam, -1.0, 0.0], d - 1),
         ):
             kids = np.flatnonzero(ball.parent == given[0])
-            cond = tw.conditional(cov, given=given, target=kids)
+            cond = conditional(cov, given=given, target=kids)
             np.testing.assert_allclose(
                 cond.coeff, np.tile(weights, (fan, 1)) / fan, rtol=0.0, atol=1e-12
             )

@@ -11,16 +11,6 @@ def test_spectral_edge_values():
     assert tw.spectral_edge(10) == pytest.approx(6.0, abs=1e-15)
 
 
-def test_tree_params_validation():
-    assert tw.TreeParams(3).d == 3
-    with pytest.raises(ValidationError):
-        tw.TreeParams(2)
-    with pytest.raises(ValidationError):
-        tw.TreeParams(True)
-    with pytest.raises(ValidationError):
-        tw.TreeParams(3.0)
-
-
 def test_spectral_point_validation():
     edge = tw.spectral_edge(3)
     p = tw.SpectralPoint(3, edge * (1.0 + 5e-13))
@@ -29,6 +19,13 @@ def test_spectral_point_validation():
         tw.SpectralPoint(3, edge * 1.01)
     with pytest.raises(ValidationError):
         tw.SpectralPoint(3, np.nan)
+    # the degree: an integer (numpy ones become int) of at least 3
+    assert type(tw.SpectralPoint(np.int64(3), 0.0).d) is int
+    for d in (2, True, 3.0):
+        with pytest.raises(ValidationError, match="degree d must be"):
+            tw.SpectralPoint(d, 0.0)
+        with pytest.raises(ValidationError, match="degree d must be"):
+            tw.sphere_size(d, 1)
 
 
 def test_profile_low_orders_closed_form():
