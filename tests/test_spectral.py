@@ -19,7 +19,11 @@ def test_spectral_point_validation():
         tw.SpectralPoint(3, edge * 1.01)
     with pytest.raises(ValidationError):
         tw.SpectralPoint(3, np.nan)
+
+
+def test_tree_params_validation():
     # the degree: an integer (numpy ones become int) of at least 3
+    assert tw.SpectralPoint(3, 0.0).d == 3
     assert type(tw.SpectralPoint(np.int64(3), 0.0).d) is int
     for d in (2, True, 3.0):
         with pytest.raises(ValidationError, match="degree d must be"):
