@@ -74,6 +74,8 @@ PATH_CSV_MAX_N = 10**4
 PROFILE_MAX_N = 10**6  # phi(n) is exactly 0.0 past n ~ 2100 at d = 3; 10^6 rows take ~10 MB
 PATH_MAX_N = 10**6  # survival and gibbs paths; a Gibbs plan build at 10^6 peaks near 170 MB
 SMC_MAX_PARTICLES = 10**7  # survival --method smc peaks near 55 MB per 10^6 particles
+DIRECT_MAX_REPS = 10**7  # survival --method direct holds under 25 MB per 10^6 reps
+GIBBS_MAX_VALUES = 2 * 10**7  # gibbs state plus retained output, float64; peaks near 500 MB
 RATE_MAX_STEPS = 10**4  # rate --alpha-steps; every level costs two transfer-operator solves
 M_HELP = (
     f"quadrature nodes per axis, 16 to {QUADRATURE_M_MAX}; memory grows like m^2 "
@@ -268,6 +270,11 @@ def _cmd_gibbs(args) -> Document:
         grid = _float_list(args.tail_grid, "--tail-grid")
     else:
         grid = [args.alpha + off for off in (0.5, 1.0, 1.5, 2.0)]
+    kept = (args.sweeps - args.burnin) // max(args.thin, 1)  # gibbs_run rejects --thin < 1
+    values = args.chains * (args.n + 4 + kept * args.n)
+    if values > GIBBS_MAX_VALUES:
+        raise ValidationError(f"state and retained sweeps of {values} values over the budget "
+                              f"of {GIBBS_MAX_VALUES}; lower --chains, --n or --sweeps")
     plan = build_gibbs_plan(_path_profile(args, PATH_MAX_N), args.n)
     rng = _rng(args)
     states = gibbs_run(
@@ -300,6 +307,9 @@ def _cmd_survival(args) -> Document:
     if args.method == "smc" and args.particles > SMC_MAX_PARTICLES:
         raise ValidationError(
             f"--particles {args.particles} over the budget of {SMC_MAX_PARTICLES}")
+    if args.method == "direct" and not 1 <= args.reps <= DIRECT_MAX_REPS:
+        why = "below 1" if args.reps < 1 else f"over the budget of {DIRECT_MAX_REPS}"
+        raise ValidationError(f"--reps {args.reps} {why}")
     profile = _path_profile(args, PATH_MAX_N)
     rng = _rng(args)
     if args.method == "direct":
@@ -424,7 +434,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--method", choices=["direct", "smc"], default="smc")
-    p.add_argument("--reps", type=int, default=100_000, help="direct-method draws")
+    p.add_argument("--reps", type=int, default=100_000,
+                   help=f"direct-method draws, 1 to {DIRECT_MAX_REPS}")
     p.add_argument("--particles", type=int, default=10_000,
                    help=f"smc particles, 100 to {SMC_MAX_PARTICLES}")
     p.add_argument("--batches", type=int, default=16)

@@ -28,7 +28,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import NumericalError, ValidationError
 from .gaussian import orthant_edge_probability
-from .sampler import BallSample, path_step_table, sample_path_many
+from .sampler import BallSample, _path_columns, path_step_table
 from .spectral import CovarianceProfile
 
 # Power iteration control for the transfer operator.
@@ -116,26 +116,20 @@ def survival_direct(
     reps: int,
     rng: np.random.Generator,
 ) -> SurvivalEstimate:
-    """Plain Monte Carlo: fraction of exact path draws staying above alpha."""
-    if n < 1:
-        raise ValidationError(f"path length must be >= 1, got {n}")
+    """Plain Monte Carlo: fraction of exact path draws above alpha; no draw once all are below."""
     if reps < 1:
         raise ValidationError(f"reps must be >= 1, got {reps}")
     if not math.isfinite(alpha):
         raise ValidationError(f"alpha must be finite, got {alpha!r}")
-    survivors = 0
-    remaining = reps
-    chunk = max(1, (1 << 22) // n)
-    while remaining > 0:
-        m = min(chunk, remaining)
-        vals = sample_path_many(profile, n, m, rng)
-        survivors += int(np.count_nonzero(np.all(vals > alpha, axis=1)))
-        remaining -= m
-    p = survivors / reps
+    alive = np.ones(reps, dtype=bool)
+    for col in _path_columns(path_step_table(profile, n), reps, rng):
+        alive &= col > alpha
+        if not alive.any():
+            break
+    p = int(np.count_nonzero(alive)) / reps
     se = math.sqrt(p * (1.0 - p) / reps)
     return SurvivalEstimate(
-        n=n, alpha=alpha, p_hat=p, stderr=se, method="direct", reps=reps,
-        collapsed=(survivors == 0),
+        n=n, alpha=alpha, p_hat=p, stderr=se, method="direct", reps=reps, collapsed=(p == 0.0)
     )
 
 

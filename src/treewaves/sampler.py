@@ -25,9 +25,9 @@ A geodesic path is order-2 Markov: given the two previous coordinates the next
 one is Gaussian with mean b1 * (two back) + b2 * (one back) and variance var.
 `path_step_table` is the one step law: a read-only (n, 3) float64 array whose
 row k holds the (b1, b2, var) of coordinate k + 1.  Only its first two rows
-differ from the rest.  `sample_path_many` iterates the rows over a batch of
-independent paths, `conditioned` reads the Gibbs stencils off its columns,
-and `levelset` runs its SMC estimator and transfer operator on it.
+differ from the rest.  `_path_columns` runs the rows over a batch of paths, one
+column at a time, for `sample_path_many` and `levelset.survival_direct`; the
+Gibbs plan, SMC and the transfer operator read the table itself.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -99,6 +100,19 @@ def path_step_table(profile: CovarianceProfile, n: int) -> np.ndarray:
     return steps
 
 
+def _path_columns(steps: np.ndarray, reps: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """Coordinate columns of reps paths, one per row of `steps`; the last two are kept."""
+    prev = cur = 0.0  # no coordinates before the path
+    for row in steps:
+        # Python floats: numpy scalars would keep `b1 * prev + b2 * cur` from reusing a temporary
+        b1, b2, var = row.tolist()
+        col = rng.standard_normal(reps)
+        col *= math.sqrt(var)
+        col += b1 * prev + b2 * cur
+        yield col
+        prev, cur = cur, col
+
+
 def sample_path_many(
     profile: CovarianceProfile, n: int, reps: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -107,15 +121,8 @@ def sample_path_many(
     if reps < 1:
         raise ValidationError(f"reps must be >= 1, got {reps}")
     out = np.empty((reps, len(steps)))
-    prev = cur = 0.0  # no coordinates before the path
-    for k, row in enumerate(steps):
-        # Python floats: a numpy scalar on the left of `b1 * prev + b2 * cur`
-        # keeps numpy from reusing the temporary, one more (reps,) array.
-        b1, b2, var = row.tolist()
-        noise = rng.standard_normal(reps)
-        noise *= math.sqrt(var)
-        np.add(b1 * prev + b2 * cur, noise, out=out[:, k])
-        prev, cur = cur, out[:, k]
+    for k, col in enumerate(_path_columns(steps, reps, rng)):
+        out[:, k] = col
     return out
 
 

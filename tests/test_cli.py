@@ -12,6 +12,8 @@ from scipy.special import ndtr
 import treewaves as tw
 from treewaves import levelset
 from treewaves.cli import (
+    DIRECT_MAX_REPS,
+    GIBBS_MAX_VALUES,
     PATH_CSV_MAX_N,
     PATH_MAX_N,
     RATE_MAX_STEPS,
@@ -121,18 +123,29 @@ def test_particle_and_step_budgets_rejected_before_any_work(monkeypatch, capsys)
         raise RuntimeError("work started")
 
     monkeypatch.setattr(cli_mod, "build_profile", boom)
+    # (command, the last flag's largest value inside the budget, budget)
     cases = (
         (["survival", "--method", "smc", "--alpha", "0", "--n", "5", "--particles"],
-         SMC_MAX_PARTICLES),
-        (["rate", "--alpha-steps"], RATE_MAX_STEPS),
+         SMC_MAX_PARTICLES, SMC_MAX_PARTICLES),
+        (["rate", "--alpha-steps"], RATE_MAX_STEPS, RATE_MAX_STEPS),
+        (["survival", "--method", "direct", "--alpha", "0", "--n", "5", "--reps"],
+         DIRECT_MAX_REPS, DIRECT_MAX_REPS),
+        # one coordinate and one retained sweep: (1 + 4) state + 1 output values per chain
+        (["gibbs", "--alpha", "0", "--n", "1", "--sweeps", "1", "--burnin", "0", "--thin",
+          "1", "--chains"], GIBBS_MAX_VALUES // 6, GIBBS_MAX_VALUES),
     )
-    for command, budget in cases:
+    for command, largest, budget in cases:
         argv = command[:1] + ["--d", "3", "--lambda", "0"] + command[1:]
-        for value in (budget + 1, 10**9):
+        for value in (largest + 1, 10**9):
             assert run(argv + [str(value)]) == 2
             assert f"over the budget of {budget}" in capsys.readouterr().err
         # a value at the budget does reach the (patched) work
-        assert run(argv + [str(budget)]) == 1
+        assert run(argv + [str(largest)]) == 1
+    # direct survival needs a draw
+    for reps in ("0", "-5"):
+        assert run(["survival", "--d", "3", "--lambda", "0", "--alpha", "0", "--n", "5",
+                    "--method", "direct", "--reps", reps]) == 2
+        assert "--reps" in capsys.readouterr().err
 
 
 def test_negative_seed_rejected_before_any_work(monkeypatch, capsys):

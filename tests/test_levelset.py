@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -126,6 +127,49 @@ def test_survival_direct_matches_tail_probability():
     assert est.method == "direct"
     assert abs(est.p_hat - q) <= 4.5 * est.stderr
     assert est.stderr == pytest.approx(np.sqrt(q * (1 - q) / 200_000), rel=0.1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("d, lam, seed", [(3, 0.0, 21), (4, 1.5, 22)])
+def test_survival_direct_is_the_all_above_fraction_of_sample_path_many(n, d, lam, seed):
+    prof = _profile(d, lam)
+    alpha, reps = 0.0, 20_000
+    rng_direct, rng_paths = np.random.default_rng(seed), np.random.default_rng(seed)
+    est = tw.survival_direct(prof, n, alpha, reps, rng_direct)
+    survivors = np.count_nonzero((tw.sample_path_many(prof, n, reps, rng_paths) > alpha).all(axis=1))
+    assert survivors > 0  # a live run draws every column, as sample_path_many does
+    assert est.p_hat == survivors / reps
+    assert rng_direct.bit_generator.state == rng_paths.bit_generator.state
+
+
+def test_survival_direct_stops_drawing_once_every_path_is_dead():
+    prof = _profile()
+    rng, after_one_column = np.random.default_rng(23), np.random.default_rng(23)
+    est = tw.survival_direct(prof, 50, 10.0, 1000, rng)
+    after_one_column.standard_normal(1000)
+    assert est.collapsed and est.p_hat == 0.0
+    assert rng.bit_generator.state == after_one_column.bit_generator.state
+
+
+def test_survival_direct_memory_is_linear_in_reps():
+    prof = _profile()
+    tracemalloc.start()
+    try:
+        est = tw.survival_direct(prof, 10_000, -3.0, 1000, np.random.default_rng(24))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.n == 10_000
+    # the whole (1000, 10^4) path matrix would take 76 MiB
+    assert peak < 8 * 2**20
+
+
+def test_survival_direct_dead_long_path_returns_quickly():
+    prof = _profile()
+    start = time.perf_counter()
+    est = tw.survival_direct(prof, 10**6, 10.0, 100, np.random.default_rng(25))
+    assert time.perf_counter() - start < 5.0
+    assert est.collapsed and est.n == 10**6
 
 
 def test_smc_agrees_with_direct():
