@@ -29,7 +29,19 @@ def test_readme_shows_every_subcommand():
     assert {line.split()[1] for line in _cli_lines()} == set(subs.choices)
 
 
-@pytest.mark.parametrize("line", _cli_lines(), ids=lambda line: line.split()[1])
+def _cli_ids() -> list[str]:
+    """Each line's subcommand; a repeated one adds its --method value."""
+    ids: list[str] = []
+    for line in _cli_lines():
+        words = shlex.split(line, comments=True)
+        name = words[1]
+        if name in ids and "--method" in words:
+            name += "-" + words[words.index("--method") + 1]
+        ids.append(name)
+    return ids
+
+
+@pytest.mark.parametrize("line", _cli_lines(), ids=_cli_ids())
 def test_readme_cli_line_runs(line, tmp_path):
     argv = shlex.split(line, comments=True)[1:]
     argv = [str(tmp_path / a) if a == "chain.csv" else a for a in argv]
