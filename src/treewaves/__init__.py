@@ -16,6 +16,7 @@ from .conditioned import (
     build_gibbs_plan,
     gibbs_run,
     repulsion_tail,
+    retained_sweeps,
 )
 from .errors import NumericalError, ValidationError
 from .gaussian import (
@@ -75,4 +76,7 @@ from .tree import (
     sphere_size,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+from types import ModuleType as _Module
+
+# The public names above; the submodules the imports also bind are left out.
+__all__ = [n for n, v in globals().items() if not (n.startswith("_") or isinstance(v, _Module))]

@@ -17,12 +17,15 @@ printed with 17 significant digits and '.' as the decimal separator, fixed key
 order, '\n' line endings.  Tables are CSV with a '#'-prefixed metadata block
 (d, lambda, seed, tool version); summaries are JSON with "schema_version": 1.
 
-Exit codes: 0 success, 2 invalid parameters, 1 runtime failure.
+Exit codes: 0 success, 2 invalid parameters, 1 runtime failure.  A rule on
+one flag is that flag's argparse type; a rule across flags is checked by the
+function that owns it, before any costly work.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import sys
@@ -38,6 +41,7 @@ from .conditioned import (
     build_gibbs_plan,
     gibbs_run,
     repulsion_tail,
+    retained_sweeps,
 )
 from .errors import ValidationError
 from .levelset import (
@@ -157,16 +161,33 @@ def _csv_chunks(args, meta: dict, columns: dict) -> Iterator[str]:
         yield (row * (hi - lo)) % tuple(chain.from_iterable(zip(*block)))
 
 
-def _float_list(text: str, flag: str) -> list[float]:
-    """A comma list of finite numbers; any other entry is invalid input."""
-    error = ValidationError(f"{flag} takes a comma list of finite numbers, got {text!r}")
+def _bounded(kind: type, lo=None, hi=None):
+    """An argparse type: a finite `kind` value, at least `lo` and at most `hi`
+    where given.  A flag's own range is checked as it is parsed, before any work."""
+
+    def parse(text: str):
+        value = kind(text)
+        if kind is float and not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+        if lo is not None and value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        if hi is not None and value > hi:
+            raise argparse.ArgumentTypeError(f"{value} over the budget of {hi}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value: 'x'"
+    return parse
+
+
+_finite = _bounded(float)
+
+
+def _float_list(text: str) -> list[float]:
+    """An argparse type: a comma list of finite numbers."""
     try:
-        values = [float(tok) for tok in text.split(",")]
-    except ValueError:
-        raise error from None
-    if not all(map(math.isfinite, values)):
-        raise error
-    return values
+        return [_finite(tok) for tok in text.split(",")]
+    except (ValueError, argparse.ArgumentTypeError):
+        raise argparse.ArgumentTypeError(f"not a comma list of finite numbers: {text!r}") from None
 
 
 def _rng(args) -> np.random.Generator:
@@ -184,13 +205,11 @@ def _add_common(sub: argparse.ArgumentParser, seed: bool = True) -> None:
         help="eigenvalue, |lambda| <= 2 sqrt(d-1)",
     )
     if seed:
-        sub.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+        sub.add_argument("--seed", type=_bounded(int, 0), default=0, help="master seed (default 0)")
     sub.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
 def _cmd_profile(args) -> Document:
-    if args.n > PROFILE_MAX_N:
-        raise ValidationError(f"--n {args.n} over the budget of {PROFILE_MAX_N}")
     profile = build_profile(_point(args), args.n)
     columns = {"n": np.arange(profile.n_max + 1), "phi": profile.phi}
     return {"big_phi": profile.big_phi}, columns
@@ -214,15 +233,8 @@ def _cmd_sample_ball(args) -> Document:
     return {"sampler": sample.sampler, "radius": args.radius}, columns
 
 
-def _path_profile(args, max_n: int) -> CovarianceProfile:
-    """The profile to distance 2 the path steps read, once --n fits max_n."""
-    if args.n > max_n:
-        raise ValidationError(f"--n {args.n} over the budget of {max_n}")
-    return build_profile(_point(args), 2)
-
-
 def _cmd_sample_path(args) -> Document:
-    profile = _path_profile(args, PATH_CSV_MAX_N)
+    profile = build_profile(_point(args), 2)  # the path steps read phi(1) and phi(2)
     rng = _rng(args)
     values = sample_path_many(profile, args.n, 1, rng)[0]
     # the path follows child 0 from the root
@@ -232,13 +244,10 @@ def _cmd_sample_path(args) -> Document:
 
 
 def _cmd_verify(args) -> Document:
-    if args.reps < 1:
-        raise ValidationError(f"--reps must be >= 1, got {args.reps}")
     profile = _ball_profile(args, dense=args.sampler != "recursive")
     rng = _rng(args)
     samplers = ["dense", "recursive"] if args.sampler == "both" else [args.sampler]
     results = []
-    all_pass = True
     for name in samplers:
         draw = sample_ball_dense if name == "dense" else sample_ball_recursive
         worst_eigen = 0.0
@@ -250,8 +259,6 @@ def _cmd_verify(args) -> Document:
             worst_sphere = max(worst_sphere, verify_sphere_sums(sample))
             scale = max(scale, sample_scale(sample))
         tol = EIGEN_RESIDUAL_RTOL * scale
-        ok = worst_eigen <= tol and worst_sphere <= tol
-        all_pass = all_pass and ok
         results.append(
             {
                 "sampler": name,
@@ -259,29 +266,27 @@ def _cmd_verify(args) -> Document:
                 "max_sphere_residual": worst_sphere,
                 "scale": scale,
                 "tolerance": tol,
-                "pass": ok,
+                "pass": worst_eigen <= tol and worst_sphere <= tol,
             }
         )
-    return {"radius": args.radius, "reps": args.reps, "results": results, "pass": all_pass}
+    return {"radius": args.radius, "reps": args.reps, "results": results,
+            "pass": all(r["pass"] for r in results)}
 
 
 def _cmd_gibbs(args) -> Document:
-    if args.tail_grid is not None:
-        grid = _float_list(args.tail_grid, "--tail-grid")
-    else:
-        grid = [args.alpha + off for off in (0.5, 1.0, 1.5, 2.0)]
-    kept = (args.sweeps - args.burnin) // max(args.thin, 1)  # gibbs_run rejects --thin < 1
+    kept = retained_sweeps(args.sweeps, args.burnin, args.thin, args.chains)
     values = args.chains * (args.n + 4 + kept * args.n)
     if values > GIBBS_MAX_VALUES:
         raise ValidationError(f"state and retained sweeps of {values} values over the budget "
                               f"of {GIBBS_MAX_VALUES}; lower --chains, --n or --sweeps")
-    plan = build_gibbs_plan(_path_profile(args, PATH_MAX_N), args.n)
+    plan = build_gibbs_plan(build_profile(_point(args), 2), args.n)
     rng = _rng(args)
     states = gibbs_run(
         plan, args.alpha, args.sweeps, args.burnin, args.thin, rng, args.chains
     )
     chains, kept, n = states.shape
     center = (n + 1) // 2
+    grid = args.tail_grid or [args.alpha + off for off in (0.5, 1.0, 1.5, 2.0)]
     tail = repulsion_tail(states, center, grid)
     meta = {"n": n, "alpha": args.alpha, "sweeps": args.sweeps,
             "burnin": args.burnin, "thin": args.thin, "chains": chains}
@@ -304,13 +309,7 @@ def _cmd_gibbs(args) -> Document:
 
 
 def _cmd_survival(args) -> Document:
-    if args.method == "smc" and args.particles > SMC_MAX_PARTICLES:
-        raise ValidationError(
-            f"--particles {args.particles} over the budget of {SMC_MAX_PARTICLES}")
-    if args.method == "direct" and not 1 <= args.reps <= DIRECT_MAX_REPS:
-        why = "below 1" if args.reps < 1 else f"over the budget of {DIRECT_MAX_REPS}"
-        raise ValidationError(f"--reps {args.reps} {why}")
-    profile = _path_profile(args, PATH_MAX_N)
+    profile = build_profile(_point(args), 2)
     rng = _rng(args)
     if args.method == "direct":
         est = survival_direct(profile, args.n, args.alpha, args.reps, rng)
@@ -318,34 +317,16 @@ def _cmd_survival(args) -> Document:
         est = survival_curve_smc(
             profile, args.n, args.alpha, args.particles, rng, args.batches
         ).estimate(args.n)
-    return {
-        "n": est.n,
-        "alpha": est.alpha,
-        "method": est.method,
-        "reps": est.reps,
-        "p_hat": est.p_hat,
-        "stderr": est.stderr,
-        "collapsed": est.collapsed,
-    }
-
-
-def _parse_alpha_grid(args) -> list[float]:
-    if args.alphas is not None:
-        return _float_list(args.alphas, "--alphas")
-    if args.alpha_steps < 2:
-        raise ValidationError("--alpha-steps must be >= 2")
-    if args.alpha_steps > RATE_MAX_STEPS:
-        raise ValidationError(
-            f"--alpha-steps {args.alpha_steps} over the budget of {RATE_MAX_STEPS}")
-    if not (math.isfinite(args.alpha_min) and math.isfinite(args.alpha_max)):
-        raise ValidationError("--alpha-min and --alpha-max must be finite")
-    if not args.alpha_max > args.alpha_min:
-        raise ValidationError("--alpha-max must exceed --alpha-min")
-    return list(np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps))
+    return dataclasses.asdict(est)
 
 
 def _cmd_rate(args) -> Document:
-    grid = np.array(_parse_alpha_grid(args), dtype=float)
+    if args.alphas is not None:
+        grid = np.array(args.alphas)
+    elif args.alpha_max > args.alpha_min:
+        grid = np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps)
+    else:
+        raise ValidationError("--alpha-max must exceed --alpha-min")
     profile = build_profile(_point(args), 2)
     r, r_coarse = (
         np.array([transfer_rate(profile, alpha, m, args.u_max_offset) for alpha in grid])
@@ -357,15 +338,14 @@ def _cmd_rate(args) -> Document:
 
 def _cmd_threshold(args) -> Document:
     profile = build_profile(_point(args), 2)
-    # critical_threshold searches [site, union]; haggstrom and expdec are reported only.
+    # Search first, so bad inputs cost no bound; only [site, union] brackets the search.
+    alpha_c = critical_threshold(profile, args.tol, args.m, args.u_max_offset)
     bracket = {"haggstrom": haggstrom_alpha(profile), "expdec": expdec_alpha(profile),
                "site": site_alpha(profile), "union": union_alpha(profile)}
-    alpha_c = critical_threshold(profile, args.tol, args.m, args.u_max_offset)
-    rate_at = transfer_rate(profile, alpha_c, args.m, args.u_max_offset)
     return {
         "alpha_c": alpha_c,
         "bracket": bracket,
-        "rate_at_alpha_c": rate_at,
+        "rate_at_alpha_c": transfer_rate(profile, alpha_c, args.m, args.u_max_offset),
         "target_rate": 1.0 / (args.d - 1.0),
         "quadrature": {"m": args.m, "u_max_offset": args.u_max_offset},
         "tol": args.tol,
@@ -396,7 +376,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("profile", help="covariance profile phi(0..n) as CSV")
     _add_common(p, seed=False)
-    p.add_argument("--n", type=int, required=True, help=f"largest distance, 2 to {PROFILE_MAX_N}")
+    p.add_argument("--n", type=_bounded(int, hi=PROFILE_MAX_N), required=True,
+                   help=f"largest distance, 2 to {PROFILE_MAX_N}")
     p.set_defaults(func=_cmd_profile)
 
     p = subs.add_parser("sample-ball", help="one exact ball sample as CSV")
@@ -407,46 +388,49 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("sample-path", help="one exact path sample as CSV")
     _add_common(p)
-    p.add_argument("--n", type=int, required=True, help="number of path vertices")
+    p.add_argument("--n", type=_bounded(int, hi=PATH_CSV_MAX_N), required=True,
+                   help=f"number of path vertices, at most {PATH_CSV_MAX_N}")
     p.set_defaults(func=_cmd_sample_path)
 
     p = subs.add_parser("verify", help="wave identities on repeated ball samples")
     _add_common(p)
     p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--reps", type=int, default=100)
+    p.add_argument("--reps", type=_bounded(int, 1), default=100)
     p.add_argument("--sampler", choices=["dense", "recursive", "both"], default="both")
     p.set_defaults(func=_cmd_verify)
 
     p = subs.add_parser("gibbs", help="conditioned-path Gibbs run")
     _add_common(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--n", type=_bounded(int, hi=PATH_MAX_N), required=True)
+    p.add_argument("--alpha", type=_finite, required=True)
     p.add_argument("--sweeps", type=int, required=True)
     p.add_argument("--burnin", type=int, default=DEFAULT_BURNIN)
     p.add_argument("--thin", type=int, default=DEFAULT_THIN)
     p.add_argument("--chains", type=int, default=1)
-    p.add_argument("--tail-grid", default=None, help="comma list of tail levels")
+    p.add_argument("--tail-grid", type=_float_list, default=None,
+                   help="comma list of tail levels")
     p.add_argument("--out-chain", default=None, help="CSV path for retained states")
     p.set_defaults(func=_cmd_gibbs)
 
     p = subs.add_parser("survival", help="path survival probability estimate")
     _add_common(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--n", type=_bounded(int, hi=PATH_MAX_N), required=True)
+    p.add_argument("--alpha", type=_finite, required=True)
     p.add_argument("--method", choices=["direct", "smc"], default="smc")
-    p.add_argument("--reps", type=int, default=100_000,
+    p.add_argument("--reps", type=_bounded(int, 1, DIRECT_MAX_REPS), default=100_000,
                    help=f"direct-method draws, 1 to {DIRECT_MAX_REPS}")
-    p.add_argument("--particles", type=int, default=10_000,
+    p.add_argument("--particles", type=_bounded(int, hi=SMC_MAX_PARTICLES), default=10_000,
                    help=f"smc particles, 100 to {SMC_MAX_PARTICLES}")
     p.add_argument("--batches", type=int, default=16)
     p.set_defaults(func=_cmd_survival)
 
     p = subs.add_parser("rate", help="decay-rate curve r(alpha) as CSV")
     _add_common(p, seed=False)
-    p.add_argument("--alphas", default=None, help="comma list of levels")
-    p.add_argument("--alpha-min", type=float, default=-1.0)
-    p.add_argument("--alpha-max", type=float, default=2.0)
-    p.add_argument("--alpha-steps", type=int, default=13, help=f"2 to {RATE_MAX_STEPS}")
+    p.add_argument("--alphas", type=_float_list, default=None, help="comma list of levels")
+    p.add_argument("--alpha-min", type=_finite, default=-1.0)
+    p.add_argument("--alpha-max", type=_finite, default=2.0)
+    p.add_argument("--alpha-steps", type=_bounded(int, 2, RATE_MAX_STEPS), default=13,
+                   help=f"2 to {RATE_MAX_STEPS}")
     p.add_argument("--m", type=int, default=64, help=M_HELP)
     p.add_argument("--u-max-offset", type=float, default=8.0)
     p.set_defaults(func=_cmd_rate)
@@ -472,8 +456,6 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if getattr(args, "seed", 0) < 0:
-            raise ValidationError(f"--seed must be >= 0, got {args.seed}")
         doc = args.func(args)
         if isinstance(doc, dict):
             chunks = [_json_text(_summary(args, doc)), "\n"]

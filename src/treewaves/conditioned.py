@@ -108,6 +108,19 @@ def build_gibbs_plan(profile: CovarianceProfile, n: int) -> GibbsPlan:
     return GibbsPlan(profile=profile, n=n, coeffs=coeffs, sigma2=1.0 / diag)
 
 
+def retained_sweeps(sweeps: int, burnin: int, thin: int, chains: int) -> int:
+    """The states each chain keeps, (sweeps - burnin) // thin, for a valid schedule:
+    sweeps, thin and chains at least 1, burnin at least 0, and one sweep retained."""
+    for name, value, least in (("sweeps", sweeps, 1), ("burnin", burnin, 0),
+                               ("thin", thin, 1), ("chains", chains, 1)):
+        if value < least:
+            raise ValidationError(f"{name} must be >= {least}, got {value}")
+    if sweeps - burnin < thin:
+        raise ValidationError(f"no retained sweeps: sweeps - burnin ({sweeps - burnin}) is below "
+                              f"thin ({thin}); raise sweeps or lower burnin/thin")
+    return (sweeps - burnin) // thin
+
+
 def gibbs_run(
     plan: GibbsPlan,
     alpha: float,
@@ -120,22 +133,15 @@ def gibbs_run(
     """Run the conditioned-path Gibbs sampler, vectorized across chains.
 
     Returns the retained states as an array of shape (chains, kept, n) with
-    kept = (sweeps - burnin) // thin; sweep `burnin + i * thin` is the i-th
-    retained state (1-based i).  Every value lies above alpha.
+    kept = retained_sweeps(sweeps, burnin, thin, chains); sweep
+    `burnin + i * thin` is the i-th retained state (1-based i).  Every value
+    lies above alpha.
     """
     if rng is None:
         raise ValidationError("gibbs_run requires an explicit random generator")
     if not math.isfinite(alpha):
         raise ValidationError(f"alpha must be finite, got {alpha!r}")
-    if sweeps < 1:
-        raise ValidationError(f"sweeps must be >= 1, got {sweeps}")
-    if burnin < 0 or thin < 1 or chains < 1:
-        raise ValidationError("need burnin >= 0, thin >= 1, chains >= 1")
-    if sweeps - burnin < thin:
-        raise ValidationError(
-            f"no retained sweeps: sweeps - burnin ({sweeps - burnin}) is below "
-            f"thin ({thin}); raise sweeps or lower burnin/thin"
-        )
+    kept = retained_sweeps(sweeps, burnin, thin, chains)
     n = plan.n
     sd = np.sqrt(plan.sigma2)
     # Coordinate k sits in column k + 2 of the zero-padded state; each colour
@@ -146,7 +152,7 @@ def gibbs_run(
         classes.append((ks + 2, ks[:, None] + 2 + OFFSETS, plan.coeffs[ks], sd[ks]))
     state = np.zeros((chains, n + 4))
     state[:, 2 : n + 2] = max(alpha, 0.0) + 1.0
-    out = np.empty((chains, (sweeps - burnin) // thin, n))
+    out = np.empty((chains, kept, n))
     for sweep in range(1, sweeps + 1):
         for cols, nbrs, weights, s in classes:
             mean = (state[:, nbrs] * weights).sum(axis=2)

@@ -102,10 +102,10 @@ class SurvivalEstimate:
 
     n: int
     alpha: float
-    p_hat: float
-    stderr: float
     method: str
     reps: int
+    p_hat: float
+    stderr: float
     collapsed: bool = False
 
 
@@ -252,6 +252,14 @@ def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+def _check_quadrature(m: int, u_max_offset: float) -> None:
+    """transfer_rate's quadrature rule; critical_threshold checks it before its bracket."""
+    if not 16 <= m <= QUADRATURE_M_MAX:
+        raise ValidationError(f"quadrature size m must lie in [16, {QUADRATURE_M_MAX}], got {m}")
+    if not (math.isfinite(u_max_offset) and u_max_offset > 0.0):
+        raise ValidationError(f"u_max_offset must be finite and > 0, got {u_max_offset!r}")
+
+
 def transfer_rate(
     profile: CovarianceProfile,
     alpha: float,
@@ -302,12 +310,9 @@ def transfer_rate(
     no subnormal, whose arithmetic is slow on x86 (at d = 3 it would hold
     some).  The Gauss-Legendre nodes and weights are built once per m.
     """
-    if not 16 <= m <= QUADRATURE_M_MAX:
-        raise ValidationError(f"quadrature size m must lie in [16, {QUADRATURE_M_MAX}], got {m}")
+    _check_quadrature(m, u_max_offset)
     if not math.isfinite(alpha):
         raise ValidationError(f"alpha must be finite, got {alpha!r}")
-    if not (math.isfinite(u_max_offset) and u_max_offset > 0.0):
-        raise ValidationError(f"u_max_offset must be finite and > 0, got {u_max_offset!r}")
     u_max = max(alpha, 0.0) + u_max_offset
     b1, b2, s2 = path_step_table(profile, 3)[-1]
     sd = math.sqrt(s2)
@@ -440,10 +445,12 @@ def critical_threshold(
     bracket [site_alpha, union_alpha], to absolute tolerance `tol`; the rate
     is strictly decreasing in alpha, so the sign change is unique.  brentq
     evaluates each bracket end once and raises ValueError when the bracket
-    has no sign change; the bracket is never widened.
+    has no sign change; the bracket is never widened.  tol, m and
+    u_max_offset are checked before the bracket is computed.
     """
     if not (tol > 0.0) or not math.isfinite(tol):
         raise ValidationError(f"tol must be > 0, got {tol!r}")
+    _check_quadrature(m, u_max_offset)
     target = 1.0 / (profile.point.d - 1.0)
 
     def f(a: float) -> float:

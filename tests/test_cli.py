@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import json
 import os
 import subprocess
@@ -104,7 +105,7 @@ def test_path_budget_rejected_before_any_work(monkeypatch, capsys):
     commands = (
         ["survival", "--method", "direct", "--reps", "1"],
         ["survival", "--method", "smc"],
-        ["gibbs", "--sweeps", "2"],
+        ["gibbs", "--sweeps", "2", "--burnin", "0", "--thin", "1"],
     )
     for command in commands:
         argv = command + ["--d", "3", "--lambda", "0", "--alpha", "0", "--n"]
@@ -160,7 +161,7 @@ def test_negative_seed_rejected_before_any_work(monkeypatch, capsys):
         ["sample-ball", "--radius", "2"],
         ["sample-path", "--n", "5"],
         ["verify", "--radius", "2"],
-        ["gibbs", "--n", "5", "--alpha", "0", "--sweeps", "20"],
+        ["gibbs", "--n", "5", "--alpha", "0", "--sweeps", "20", "--burnin", "0", "--thin", "1"],
         ["survival", "--n", "5", "--alpha", "0"],
     ):
         assert run(argv + ["--d", "3", "--lambda", "0", "--seed", "-1"]) == 2
@@ -180,6 +181,26 @@ def test_gibbs_without_retained_sweeps_rejected_before_any_sweep(monkeypatch, ca
             "--sweeps", "20000", "--burnin", "19995", "--thin", "10", "--chains", "8"]
     assert run(argv) == 2
     assert "no retained sweeps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, rule", [
+    (["--sweeps", "1"], "no retained sweeps"),
+    (["--sweeps", "1010", "--chains", "0"], "chains must be >= 1"),
+    (["--sweeps", "1010", "--thin", "0"], "thin must be >= 1"),
+    (["--sweeps", "1010", "--alpha", "nan"], "--alpha: 'nan' is not a finite number"),
+], ids=["no-retained-sweep", "chains", "thin", "alpha"])
+def test_gibbs_schedule_and_level_rejected_before_the_plan(flags, rule, monkeypatch, capsys):
+    import treewaves.cli as cli_mod
+
+    def boom(*a, **k):
+        raise RuntimeError("plan built")
+
+    monkeypatch.setattr(cli_mod, "build_gibbs_plan", boom)
+    argv = ["gibbs", "--d", "3", "--lambda", "0", "--alpha", "0", "--n", "1000000"]
+    assert run(argv + flags) == 2
+    assert rule in capsys.readouterr().err
+    # a valid schedule does reach the (patched) plan
+    assert run(argv + ["--sweeps", "1010"]) == 1
 
 
 def test_dense_ball_budget_rejected_before_covariance(tmp_path, monkeypatch, capsys):
@@ -256,7 +277,7 @@ def test_quadrature_size_over_the_cap_rejected_before_any_nodes(monkeypatch, cap
 
 
 def test_threshold_search_errors(monkeypatch):
-    # --m is checked by the first rate call, made inside brentq
+    # --m is checked before the search computes its bracket
     assert run(["threshold", "--d", "3", "--lambda", "0", "--m", "8"]) == 2
     # a rate that never crosses 1/(d-1) leaves brentq without a sign change
     monkeypatch.setattr(levelset, "transfer_rate", lambda *a, **k: 0.9)
@@ -593,3 +614,46 @@ def test_subcommands_return_documents_and_write_nothing(command, tmp_path, monke
     # gibbs writes its --out-chain table itself; --out belongs to run alone
     written = sorted(p.name for p in tmp_path.iterdir())
     assert written == (["chain.csv"] if command == "gibbs" else [])
+
+
+def _range_checked_flags() -> list:
+    """(subcommand, flag, out-of-range value) for every flag the parser range-checks:
+    each `_bounded` type and each comma list."""
+    import treewaves.cli as cli_mod
+
+    parser = _build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    cases = []
+    for command, sub in subs.choices.items():
+        for action in sub._actions:
+            if action.type is cli_mod._float_list:
+                value = "1,nan"
+            elif getattr(action.type, "__qualname__", "").startswith("_bounded."):
+                bound = inspect.getclosurevars(action.type).nonlocals
+                value = ("nan" if bound["lo"] is None and bound["hi"] is None
+                         else str(bound["hi"] + 1) if bound["hi"] is not None
+                         else str(bound["lo"] - 1))
+            else:
+                continue
+            flag = action.option_strings[0]
+            cases.append(pytest.param(command, flag, value, id=command + flag))
+    return cases
+
+
+@pytest.mark.parametrize("command, flag, value", _range_checked_flags())
+def test_every_range_checked_flag_exits_2_before_any_work(command, flag, value, tmp_path,
+                                                          monkeypatch, capsys):
+    import treewaves.cli as cli_mod
+
+    def boom(*a, **k):
+        raise RuntimeError("work started")
+
+    for name in ("build_profile", "shell_sizes", "build_gibbs_plan", "haggstrom_alpha"):
+        monkeypatch.setattr(cli_mod, name, boom)
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--d", "3", "--lambda", "0"] + SMALL_ARGV[command]
+    # in range, the same command reaches the (patched) work
+    assert run(argv) == 1
+    capsys.readouterr()
+    assert run(argv + [f"{flag}={value}"]) == 2
+    assert f"argument {flag}:" in capsys.readouterr().err

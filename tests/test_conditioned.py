@@ -135,6 +135,16 @@ def test_gibbs_run_validation(monkeypatch):
     assert states.shape == (2, 1, 5)
 
 
+def test_retained_sweeps_names_each_rule():
+    assert tw.retained_sweeps(80, 20, 3, 4) == 20
+    assert tw.retained_sweeps(30, 20, 10, 1) == 1
+    for args, rule in (((0, 0, 1, 1), "sweeps must be >= 1"), ((10, -1, 1, 1), "burnin"),
+                       ((10, 0, 0, 1), "thin must be >= 1"), ((10, 0, 1, 0), "chains"),
+                       ((29, 20, 10, 1), "no retained sweeps")):
+        with pytest.raises(ValidationError, match=rule):
+            tw.retained_sweeps(*args)
+
+
 def test_gibbs_run_deterministic():
     plan = tw.build_gibbs_plan(_profile(), 5)
     a = tw.gibbs_run(plan, 0.0, 60, burnin=20, thin=2, rng=np.random.default_rng(9), chains=2)

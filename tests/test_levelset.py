@@ -450,6 +450,21 @@ def test_site_alpha_sign_follows_sheppard(d):
         assert (tw.site_alpha(_profile(d, lam, 2)) > 0.0) == (lam > boundary)
 
 
+def test_critical_threshold_checks_inputs_before_the_bracket(monkeypatch):
+    def boom(*a, **k):
+        raise RuntimeError("bracket computed")
+
+    monkeypatch.setattr(levelset, "site_alpha", boom)
+    monkeypatch.setattr(levelset, "union_alpha", boom)
+    prof = _profile(3, 0.0, 2)
+    for kwargs, rule in (({"tol": 0.0}, "tol"), ({"tol": float("nan")}, "tol"),
+                         ({"m": 8}, "quadrature size m"), ({"m": 5000}, "quadrature size m"),
+                         ({"u_max_offset": float("nan")}, "u_max_offset"),
+                         ({"u_max_offset": -1.0}, "u_max_offset")):
+        with pytest.raises(ValidationError, match=rule):
+            tw.critical_threshold(prof, **kwargs)
+
+
 @pytest.mark.parametrize("d, lam_frac, tol", [(3, 0.0, 1e-4), (16, -0.3, 1e-5)])
 def test_critical_threshold_rate_evaluations(monkeypatch, d, lam_frac, tol):
     # the root finder, not a fixed bisection, sets the number of rate evaluations

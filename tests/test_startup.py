@@ -67,3 +67,31 @@ def test_subcommands_load_only_the_scipy_they_call(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
     assert (tmp_path / "bounds").stat().st_size > 0
+
+
+INVALID_CHILD = r"""
+import sys
+
+import treewaves.cli as cli
+
+SUBPACKAGES = ("special", "optimize", "integrate", "interpolate", "linalg", "sparse", "stats")
+common = ["--d", "3", "--lambda", "0"]
+for argv in (
+    ["threshold", "--tol", "0"],
+    ["threshold", "--m", "5000"],
+    ["threshold", "--u-max-offset", "nan"],
+):
+    assert cli.run(argv[:1] + common + argv[1:]) == 2, argv
+    loaded = sorted(s for s in SUBPACKAGES if "scipy." + s in sys.modules)
+    assert loaded == [], (argv, loaded)
+print("ok")
+"""
+
+
+def test_invalid_threshold_inputs_exit_2_before_any_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", INVALID_CHILD], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
