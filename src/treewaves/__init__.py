@@ -54,6 +54,7 @@ from .sampler import (
     sample_path_many,
     sample_scale,
     verify_eigen_residual,
+    verify_residuals,
     verify_sphere_sums,
 )
 from .spectral import (

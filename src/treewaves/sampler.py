@@ -19,7 +19,10 @@ Both routes sample the same law; the recursive one satisfies the local wave
 identities by construction and scales linearly in the ball size.  Only the
 draws repeat per call: the ball and the dense factor are built once per
 (profile, radius) and reused while the same profile object is passed (as in
-`verify`'s rep loop).  One factor is kept, at most 2048^2 float64 (34 MB).
+`verify`, which draws dense reps one call at a time).  One factor is kept, at
+most 2048^2 float64 (34 MB).  `verify_residuals` checks both wave identities
+on every row of a (reps, ball size) block; the single-sample checks are its
+one-row case.
 
 A geodesic path is order-2 Markov: given the two previous coordinates the next
 one is Gaussian with mean b1 * (two back) + b2 * (one back) and variance var.
@@ -159,7 +162,12 @@ def sample_ball_dense(
 def sample_ball_recursive_many(
     profile: CovarianceProfile, r: int, reps: int, rng: np.random.Generator
 ) -> tuple[Ball, np.ndarray]:
-    """reps independent recursive ball draws stacked as a (reps, ball size) matrix."""
+    """reps independent recursive ball draws stacked as a (reps, ball size) matrix.
+
+    The normals of each shell are drawn family-major across the reps, so a
+    block of reps is a different stream from the same number of single
+    draws (reps = 1 is `sample_ball_recursive`'s stream).
+    """
     if reps < 1:
         raise ValidationError(f"reps must be >= 1, got {reps}")
     d, lam = profile.point.d, profile.point.lam
@@ -192,6 +200,43 @@ def sample_ball_recursive(
     return BallSample(profile=profile, ball=ball, values=values[0], sampler="recursive")
 
 
+def verify_residuals(
+    profile: CovarianceProfile, ball: Ball, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The two wave identities on each row of a (reps, ball size) block.
+
+    Returns, per row, the max absolute eigenvector-equation residual over
+    interior vertices (lambda * value(v) minus the sum of the neighbours of v,
+    for every v whose whole neighbourhood lies in the ball; 0 when none does)
+    and the max absolute deviation of the sphere sums, k = 0..radius, from
+    |sphere_k| * phi(k) * (root value).  A row's residuals do not depend on
+    the other rows of its block; `verify_eigen_residual` and
+    `verify_sphere_sums` are the one-row case.
+    """
+    reps = len(values)
+    sphere = np.zeros(reps)
+    for k in range(ball.radius + 1):
+        sl = ball.sphere_slice(k)
+        expected = (sl.stop - sl.start) * profile.require(k) * values[:, 0]
+        np.maximum(sphere, np.abs(values[:, sl].sum(axis=1) - expected), out=sphere)
+    n_int = len(ball.interior_indices())
+    if n_int == 0:
+        return np.zeros(reps), sphere
+    # Vertex 1 is the root's first child.  From vertex 2 on come the root's
+    # other d - 1 children, then the d - 1 children of each interior vertex in
+    # turn, so column j of this view holds a next child of every interior
+    # vertex.  Adding the columns in order sums each vertex's children left to
+    # right, in the same order whatever the number of rows.
+    d = ball.d
+    kids = values[:, 2:].reshape(reps, n_int, d - 1)
+    around = kids[:, :, 0].copy()
+    around[:, 0] = values[:, 1] + kids[:, 0, 0]
+    for j in range(1, d - 1):
+        around += kids[:, :, j]
+    around[:, 1:] += values[:, ball.parent[1:n_int]]
+    return np.abs(profile.point.lam * values[:, :n_int] - around).max(axis=1), sphere
+
+
 def verify_sphere_sums(sample: BallSample) -> float:
     """Max deviation of sphere sums from their predicted multiples of the root.
 
@@ -199,14 +244,7 @@ def verify_sphere_sums(sample: BallSample) -> float:
     |sphere_k| * phi(k) * (root value); the max absolute residual over
     k = 0..radius is returned.
     """
-    ball = sample.ball
-    root = sample.values[0]
-    worst = 0.0
-    for k in range(ball.radius + 1):
-        sl = ball.sphere_slice(k)
-        expected = (sl.stop - sl.start) * sample.profile.require(k) * root
-        worst = max(worst, abs(float(sample.values[sl].sum()) - expected))
-    return worst
+    return float(verify_residuals(sample.profile, sample.ball, sample.values[None])[1][0])
 
 
 def verify_eigen_residual(sample: BallSample) -> float:
@@ -215,15 +253,7 @@ def verify_eigen_residual(sample: BallSample) -> float:
     For every vertex whose whole neighborhood lies in the ball,
     lambda * value(v) must equal the sum of the neighbor values.
     """
-    ball = sample.ball
-    vals = sample.values
-    n_int = len(ball.interior_indices())
-    if n_int == 0:
-        return 0.0
-    # Every parent is interior, so the child sums fill exactly n_int slots.
-    around = np.bincount(ball.parent[1:], weights=vals[1:], minlength=n_int)
-    around[1:] += vals[ball.parent[1:n_int]]
-    return float(np.abs(sample.profile.point.lam * vals[:n_int] - around).max())
+    return float(verify_residuals(sample.profile, sample.ball, sample.values[None])[0][0])
 
 
 def sample_scale(sample: BallSample) -> float:

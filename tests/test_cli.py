@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from treewaves.cli import (
     PATH_MAX_N,
     RATE_MAX_STEPS,
     SMC_MAX_PARTICLES,
+    _VERIFY_BLOCK_VALUES,
     _build_parser,
     run,
 )
@@ -388,6 +390,47 @@ def test_verify_json_passes(tmp_path):
         assert r["pass"] is True
         assert r["max_eigen_residual"] <= r["tolerance"]
         assert r["max_sphere_residual"] <= r["tolerance"]
+
+
+def test_verify_reports_the_per_rep_maxima_in_draw_order(tmp_path):
+    # dense: one sample_ball_dense draw per rep; recursive: right after them,
+    # sample_ball_recursive_many blocks of at most _VERIFY_BLOCK_VALUES values
+    d, lam, r, reps, seed = 3, 0.7, 8, 700, 8
+    out = tmp_path / "v.json"
+    assert run(["verify", "--d", str(d), "--lambda", str(lam), "--radius", str(r),
+                "--reps", str(reps), "--seed", str(seed), "--sampler", "both",
+                "--out", str(out)]) == 0
+    dense, recursive = json.loads(out.read_text())["results"]
+
+    prof = tw.build_profile(tw.SpectralPoint(d, lam), 2 * r)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    samples = [tw.sample_ball_dense(prof, r, rng) for _ in range(reps)]
+    rows = _VERIFY_BLOCK_VALUES // tw.ball_vertex_count(d, r)
+    assert 1 < rows < reps  # several recursive blocks, the last one short
+    for lo in range(0, reps, rows):
+        ball, block = tw.sample_ball_recursive_many(prof, r, min(rows, reps - lo), rng)
+        samples += [tw.BallSample(profile=prof, ball=ball, values=v, sampler="recursive")
+                    for v in block]
+    for res, part in ((dense, samples[:reps]), (recursive, samples[reps:])):
+        assert res["max_eigen_residual"] == max(map(tw.verify_eigen_residual, part))
+        assert res["max_sphere_residual"] == max(map(tw.verify_sphere_sums, part))
+        assert res["scale"] == max(map(tw.sample_scale, part))
+        assert res["pass"] is True
+
+
+def test_verify_recursive_blocks_bound_memory(tmp_path):
+    # 40 reps of a 49150-vertex ball: one block of every rep peaks over
+    # 40 MiB under tracemalloc, blocks of at most 2^18 values under 10 MiB
+    out = tmp_path / "v.json"
+    tracemalloc.start()
+    try:
+        rc = run(["verify", "--d", "3", "--lambda", "0.3", "--radius", "14", "--reps", "40",
+                  "--sampler", "recursive", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0 and json.loads(out.read_text())["pass"] is True
+    assert peak < 16 * 2**20
 
 
 def test_survival_direct_json_accuracy(tmp_path):

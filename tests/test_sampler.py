@@ -297,6 +297,28 @@ def test_eigen_residual_matches_vertex_loop():
         assert tw.verify_eigen_residual(s) == pytest.approx(worst, rel=1e-12)
 
 
+@pytest.mark.parametrize("d", range(3, 7))
+def test_block_residuals_match_single_sample_checks(d):
+    # each row of the block kernel carries the single-sample bits, on waves
+    # and on values that are not a wave; radius 0 has no interior vertex
+    for r in range(5):
+        prof = _profile(d, 0.6 * tw.spectral_edge(d), max(2, 2 * r))
+        ball, waves = tw.sample_ball_recursive_many(prof, r, 4, np.random.default_rng(d + r))
+        noise = np.random.default_rng(10 * d + r).standard_normal((3, len(ball)))
+        block = np.vstack([waves, noise])
+        eigen, sphere = tw.verify_residuals(prof, ball, block)
+        assert eigen.shape == sphere.shape == (len(block),)
+        for row, e, s in zip(block, eigen, sphere):
+            sample = tw.BallSample(profile=prof, ball=ball, values=row, sampler="dense")
+            assert e == tw.verify_eigen_residual(sample)
+            assert s == tw.verify_sphere_sums(sample)
+        if r == 0:
+            assert not eigen.any() and not sphere.any()
+        else:
+            assert eigen[4:].min() > 1e-6 > eigen[:4].max()
+            assert sphere[4:].min() > 1e-6 > sphere[:4].max()
+
+
 def test_empirical_means_are_centered():
     prof = _profile(4, 1.0, 4)
     _, vals = tw.sample_ball_recursive_many(prof, 2, 50_000, np.random.default_rng(13))
