@@ -357,13 +357,16 @@ def _cmd_rate(args) -> Document:
 def _cmd_threshold(args) -> Document:
     profile = build_profile(_point(args), 2)
     # Search first, so bad inputs cost no bound; only [site, union] brackets the search.
-    alpha_c = critical_threshold(profile, args.tol, args.m, args.u_max_offset)
+    rates: dict[float, float] = {}
+    alpha_c = critical_threshold(profile, args.tol, args.m, args.u_max_offset, rates=rates)
     bracket = {"haggstrom": haggstrom_alpha(profile), "expdec": expdec_alpha(profile),
                "site": site_alpha(profile), "union": union_alpha(profile)}
+    if alpha_c not in rates:  # brentq's root is an evaluated level; this covers one that is not
+        rates[alpha_c] = transfer_rate(profile, alpha_c, args.m, args.u_max_offset)
     return {
         "alpha_c": alpha_c,
         "bracket": bracket,
-        "rate_at_alpha_c": transfer_rate(profile, alpha_c, args.m, args.u_max_offset),
+        "rate_at_alpha_c": rates[alpha_c],
         "target_rate": 1.0 / (args.d - 1.0),
         "quadrature": {"m": args.m, "u_max_offset": args.u_max_offset},
         "tol": args.tol,

@@ -160,19 +160,26 @@ class SurvivalCurve:
         )
 
 
-def _systematic_pick(alive: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _systematic_pick(
+    alive: np.ndarray, u: np.ndarray, count: np.ndarray | None = None
+) -> np.ndarray:
     """Indices into alive.ravel() that resample each row of `alive` systematically:
     slot j of row b, with A_b survivors, takes the survivor of rank floor((u_b + j)
     A_b / per) = (j A_b + floor(u_b A_b)) // per of row b, below A_b since the double
-    u_b A_b < A_b for every u_b < 1.  A row with no survivor keeps its slots."""
+    u_b A_b < A_b for every u_b < 1.  A row with no survivor keeps its slots.
+    `count` holds the A_b when the caller has them."""
     per = alive.shape[1]
-    keep = alive | ~alive.any(axis=1, keepdims=True)
-    count = np.count_nonzero(keep, axis=1)
+    if count is None:
+        count = np.count_nonzero(alive, axis=1)
+    empty = count == 0
+    if empty.any():
+        alive = alive | empty[:, None]
+        count = np.where(empty, per, count)
     rank = np.multiply.outer(count, np.arange(per))  # in place from here: no temporaries
     rank += (u * count).astype(np.intp)[:, None]
     rank //= per
     rank += (np.cumsum(count) - count)[:, None]
-    return np.flatnonzero(keep).take(rank)
+    return np.flatnonzero(alive).take(rank)
 
 
 def _smc_factors(
@@ -187,20 +194,26 @@ def _smc_factors(
     `prev` and `cur` hold the last two coordinates of every particle, zero
     before the first step.  Each (b1, b2, var) row of the `path_step_table`
     array `steps` draws the next coordinate as b1 * prev + b2 * cur +
-    sqrt(var) * N(0, 1), records each batch's fraction above alpha, and
-    resamples every batch systematically from one uniform.  A batch with no
-    survivor is dead and records 0 from then on.  Returns the fractions,
-    shape (nbat, len(steps))."""
+    sqrt(var) * N(0, 1), records each batch's fraction above alpha, and,
+    before every step but the last, resamples every batch systematically from
+    one uniform.  A batch with no survivor is dead and records 0 from then on.
+    Returns the fractions, shape (nbat, len(steps))."""
     prev, cur = np.zeros((2, nbat, per))
     factors = np.zeros((nbat, len(steps)))
     dead = np.zeros(nbat, dtype=bool)
-    for k, (b1, b2, var) in enumerate(steps):
-        nxt = b1 * prev + b2 * cur + math.sqrt(var) * rng.standard_normal((nbat, per))
+    last = len(steps) - 1
+    # Python floats: numpy scalars would keep `b1 * prev + b2 * cur` from reusing a temporary
+    for k, (b1, b2, var) in enumerate(steps.tolist()):
+        nxt = rng.standard_normal((nbat, per))
+        nxt *= math.sqrt(var)
+        nxt += b1 * prev + b2 * cur
         alive = nxt > alpha
-        dead |= ~alive.any(axis=1)
-        factors[:, k] = np.where(dead, 0.0, alive.mean(axis=1))
-        pick = _systematic_pick(alive, rng.random(nbat))
-        prev, cur = cur.take(pick), nxt.take(pick)
+        count = np.count_nonzero(alive, axis=1)
+        dead |= count == 0
+        factors[:, k] = np.where(dead, 0.0, count / per)
+        if k < last:
+            pick = _systematic_pick(alive, rng.random(nbat), count)
+            prev, cur = cur.take(pick), nxt.take(pick)
     return factors
 
 
@@ -216,7 +229,8 @@ def survival_curve_smc(
 
     Particles carry the last two surviving coordinates; each step multiplies
     the estimator by the surviving fraction and resamples each independent
-    batch systematically, from one uniform per batch and step.  The per-step
+    batch systematically, from one uniform per batch and step; the last step
+    is not resampled, since nothing reads its particles.  The per-step
     fraction estimator makes every batch's prefix product unbiased for P(n);
     the standard error is the batch spread over sqrt(batches).  Nothing is
     drawn after the particle loop.
@@ -438,6 +452,7 @@ def critical_threshold(
     tol: float = 1e-4,
     m: int = 64,
     u_max_offset: float = 8.0,
+    rates: dict[float, float] | None = None,
 ) -> float:
     """Critical level alpha_c: where the decay rate crosses 1/(d-1).
 
@@ -446,7 +461,10 @@ def critical_threshold(
     is strictly decreasing in alpha, so the sign change is unique.  brentq
     evaluates each bracket end once and raises ValueError when the bracket
     has no sign change; the bracket is never widened.  tol, m and
-    u_max_offset are checked before the bracket is computed.
+    u_max_offset are checked before the bracket is computed.  The root
+    brentq returns is always a level it has evaluated; a `rates` dict, when
+    given, receives rates[level] = transfer_rate(...) for every evaluated
+    level, so the rate at the root needs no second power iteration.
     """
     if not (tol > 0.0) or not math.isfinite(tol):
         raise ValidationError(f"tol must be > 0, got {tol!r}")
@@ -454,7 +472,10 @@ def critical_threshold(
     target = 1.0 / (profile.point.d - 1.0)
 
     def f(a: float) -> float:
-        return transfer_rate(profile, a, m, u_max_offset) - target
+        rate = transfer_rate(profile, a, m, u_max_offset)
+        if rates is not None:
+            rates[a] = rate
+        return rate - target
 
     return float(scipy.optimize.brentq(f, site_alpha(profile), union_alpha(profile), xtol=tol))
 

@@ -12,7 +12,7 @@ import pytest
 from scipy.special import ndtr
 
 import treewaves as tw
-from treewaves import levelset
+from treewaves import cli, levelset
 from treewaves.cli import (
     DIRECT_MAX_REPS,
     GIBBS_MAX_VALUES,
@@ -556,6 +556,49 @@ def test_threshold_json_keys(tmp_path):
     assert doc["target_rate"] == 0.5
     assert abs(doc["rate_at_alpha_c"] - 0.5) < 0.05
     assert doc["quadrature"]["m"] == 64
+
+
+def _count_rate_levels(monkeypatch) -> list:
+    """Levels of every transfer_rate call, through the library's name and the CLI's."""
+    levels = []
+    rate = levelset.transfer_rate
+
+    def counting_rate(profile, alpha, *args):
+        levels.append(alpha)
+        return rate(profile, alpha, *args)
+
+    monkeypatch.setattr(levelset, "transfer_rate", counting_rate)
+    monkeypatch.setattr(cli, "transfer_rate", counting_rate)
+    return levels
+
+
+@pytest.mark.parametrize("tol", ["1e-4", "1e-8"])
+@pytest.mark.parametrize(
+    "d, lam_frac",
+    [(d, f) for d in (3, 4, 5, 16, 1000) for f in (-0.5, 0.0, 1.0)] + [(4, -1.0)],
+)
+def test_threshold_repeats_no_rate_evaluation(monkeypatch, capsys, d, lam_frac, tol):
+    lam = lam_frac * tw.spectral_edge(d)
+    levels = _count_rate_levels(monkeypatch)
+    assert run(["threshold", "--d", str(d), f"--lambda={lam!r}", "--tol", tol]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(set(levels)) == len(levels)
+    prof = tw.build_profile(tw.SpectralPoint(d, lam), 2)
+    assert doc["rate_at_alpha_c"] == tw.transfer_rate(prof, doc["alpha_c"], 64, 8.0)
+
+
+def test_threshold_rate_off_the_search_takes_one_call(monkeypatch, capsys):
+    def off_search(profile, tol, m, u_max_offset, rates):
+        rates[0.0] = 1.0
+        return -0.25
+
+    monkeypatch.setattr(cli, "critical_threshold", off_search)
+    levels = _count_rate_levels(monkeypatch)
+    assert run(["threshold", "--d", "3", "--lambda", "0"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert levels == [-0.25]
+    assert doc["alpha_c"] == -0.25
+    assert doc["rate_at_alpha_c"] == tw.transfer_rate(tw.build_profile(tw.SpectralPoint(3, 0.0), 2), -0.25, 64, 8.0)
 
 
 def test_bounds_json(tmp_path):

@@ -212,6 +212,19 @@ def test_smc_draws_nothing_after_the_particle_loop():
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
+@pytest.mark.parametrize("n", [1, 2, 9])
+def test_smc_draws_exactly_what_it_uses(n):
+    # normals for every step, uniforms to resample before every step but the last
+    rng = np.random.default_rng(29)
+    curve = tw.survival_curve_smc(_profile(), n, 0.1, 1_000, rng, batches=4)
+    ref = np.random.default_rng(29)
+    for k in range(n):
+        ref.standard_normal((curve.batches, curve.particles // curve.batches))
+        if k < n - 1:
+            ref.random(curve.batches)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 @pytest.mark.parametrize("u", [0.0, 0.3, 0.999, 1.0 - 2.0**-53])
 def test_systematic_pick_resamples_each_row_within_itself(u):
     per = 48
@@ -482,6 +495,26 @@ def test_critical_threshold_rate_evaluations(monkeypatch, d, lam_frac, tol):
     assert len(set(calls)) == len(calls)  # brentq sees each bracket end once
     target = 1.0 / (d - 1.0)
     assert rate(prof, ac - 2 * tol) > target > rate(prof, ac + 2 * tol)
+
+
+@pytest.mark.parametrize("d, lam_frac, tol", [(3, 0.0, 1e-4), (4, -1.0, 1e-8), (16, 1.0, 1e-6)])
+def test_critical_threshold_records_every_rate(monkeypatch, d, lam_frac, tol):
+    prof = tw.build_profile(tw.SpectralPoint(d, lam_frac * tw.spectral_edge(d)), 2)
+    plain = tw.critical_threshold(prof, tol=tol)
+    calls = []
+    rate = levelset.transfer_rate
+
+    def counting_rate(*args, **kwargs):
+        calls.append(args[1])
+        return rate(*args, **kwargs)
+
+    monkeypatch.setattr(levelset, "transfer_rate", counting_rate)
+    rates = {}
+    ac = tw.critical_threshold(prof, tol=tol, rates=rates)
+    assert ac == plain
+    assert sorted(rates) == sorted(calls)  # every evaluated level, each once
+    assert all(rates[a] == rate(prof, a) for a in rates)
+    assert ac in rates
 
 
 def test_haggstrom_alpha_evaluates_each_level_once(monkeypatch):
