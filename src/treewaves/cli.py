@@ -346,9 +346,11 @@ def _cmd_rate(args) -> Document:
     else:
         raise ValidationError("--alpha-max must exceed --alpha-min")
     profile = build_profile(_point(args), 2)
+    # the coarse rule is half of m, but never below 16 nor equal to m itself
+    coarse = 32 if args.m == 16 else max(16, args.m // 2)
     r, r_coarse = (
         np.array([transfer_rate(profile, alpha, m, args.u_max_offset) for alpha in grid])
-        for m in (args.m, max(16, args.m // 2))
+        for m in (args.m, coarse)
     )
     columns = {"alpha": grid, "r": r, "stderr_or_tol": np.abs(r - r_coarse)}
     return {"m": args.m, "u_max_offset": args.u_max_offset}, columns

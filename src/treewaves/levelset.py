@@ -160,17 +160,13 @@ class SurvivalCurve:
         )
 
 
-def _systematic_pick(
-    alive: np.ndarray, u: np.ndarray, count: np.ndarray | None = None
-) -> np.ndarray:
+def _systematic_pick(alive: np.ndarray, u: np.ndarray, count: np.ndarray) -> np.ndarray:
     """Indices into alive.ravel() that resample each row of `alive` systematically:
     slot j of row b, with A_b survivors, takes the survivor of rank floor((u_b + j)
     A_b / per) = (j A_b + floor(u_b A_b)) // per of row b, below A_b since the double
     u_b A_b < A_b for every u_b < 1.  A row with no survivor keeps its slots.
-    `count` holds the A_b when the caller has them."""
+    `count` holds the A_b, np.count_nonzero(alive, axis=1)."""
     per = alive.shape[1]
-    if count is None:
-        count = np.count_nonzero(alive, axis=1)
     empty = count == 0
     if empty.any():
         alive = alive | empty[:, None]
@@ -180,41 +176,6 @@ def _systematic_pick(
     rank //= per
     rank += (np.cumsum(count) - count)[:, None]
     return np.flatnonzero(alive).take(rank)
-
-
-def _smc_factors(
-    nbat: int,
-    per: int,
-    steps: np.ndarray,
-    alpha: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Per-step surviving fractions of `nbat` batches of `per` particles.
-
-    `prev` and `cur` hold the last two coordinates of every particle, zero
-    before the first step.  Each (b1, b2, var) row of the `path_step_table`
-    array `steps` draws the next coordinate as b1 * prev + b2 * cur +
-    sqrt(var) * N(0, 1), records each batch's fraction above alpha, and,
-    before every step but the last, resamples every batch systematically from
-    one uniform.  A batch with no survivor is dead and records 0 from then on.
-    Returns the fractions, shape (nbat, len(steps))."""
-    prev, cur = np.zeros((2, nbat, per))
-    factors = np.zeros((nbat, len(steps)))
-    dead = np.zeros(nbat, dtype=bool)
-    last = len(steps) - 1
-    # Python floats: numpy scalars would keep `b1 * prev + b2 * cur` from reusing a temporary
-    for k, (b1, b2, var) in enumerate(steps.tolist()):
-        nxt = rng.standard_normal((nbat, per))
-        nxt *= math.sqrt(var)
-        nxt += b1 * prev + b2 * cur
-        alive = nxt > alpha
-        count = np.count_nonzero(alive, axis=1)
-        dead |= count == 0
-        factors[:, k] = np.where(dead, 0.0, count / per)
-        if k < last:
-            pick = _systematic_pick(alive, rng.random(nbat), count)
-            prev, cur = cur.take(pick), nxt.take(pick)
-    return factors
 
 
 def survival_curve_smc(
@@ -227,13 +188,14 @@ def survival_curve_smc(
 ) -> SurvivalCurve:
     """Sequential Monte Carlo along the path with systematic resampling.
 
-    Particles carry the last two surviving coordinates; each step multiplies
-    the estimator by the surviving fraction and resamples each independent
-    batch systematically, from one uniform per batch and step; the last step
-    is not resampled, since nothing reads its particles.  The per-step
-    fraction estimator makes every batch's prefix product unbiased for P(n);
-    the standard error is the batch spread over sqrt(batches).  Nothing is
-    drawn after the particle loop.
+    Particles start from zeros and carry the last two surviving coordinates;
+    each step multiplies the estimator by the surviving fraction and resamples
+    each independent batch systematically, from one uniform per batch and
+    step; the last step is not resampled, since nothing reads its particles.
+    A batch with no survivor reads 0 from then on.  The per-step fraction
+    estimator makes every batch's prefix product unbiased for P(n); the
+    standard error is the batch spread over sqrt(batches).  Nothing is drawn
+    after the particle loop.
     """
     if n_max < 1:
         raise ValidationError(f"n_max must be >= 1, got {n_max}")
@@ -243,9 +205,23 @@ def survival_curve_smc(
         raise ValidationError(f"alpha must be finite, got {alpha!r}")
     if batches < 2:
         raise ValidationError(f"batches must be >= 2, got {batches}")
-    nbat = max(2, min(batches, particles // 50))
+    steps = path_step_table(profile, n_max)  # checks n_max is an integer before any allocation
+    nbat = min(batches, particles // 50)
     per = particles // nbat
-    factors = _smc_factors(nbat, per, path_step_table(profile, n_max), alpha, rng)
+    prev, cur = np.zeros((2, nbat, per))
+    factors = np.zeros((nbat, len(steps)))
+    # Python floats: numpy scalars would keep `b1 * prev + b2 * cur` from reusing a temporary
+    for k, (b1, b2, var) in enumerate(steps.tolist()):
+        nxt = rng.standard_normal((nbat, per))
+        nxt *= math.sqrt(var)
+        nxt += b1 * prev + b2 * cur
+        alive = nxt > alpha
+        count = np.count_nonzero(alive, axis=1)
+        # a batch with no survivor gives 0.0, and cumprod of factors >= 0 keeps it at 0
+        factors[:, k] = count / per
+        if k < len(steps) - 1:
+            pick = _systematic_pick(alive, rng.random(nbat), count)
+            prev, cur = cur.take(pick), nxt.take(pick)
     batch_estimates = np.cumprod(factors, axis=1)
     return SurvivalCurve(
         alpha=alpha,

@@ -545,6 +545,18 @@ def test_rate_csv(tmp_path):
     assert len(rows) == 4
 
 
+def test_rate_at_the_smallest_rule_compares_with_m_32(tmp_path):
+    # m // 2 would clamp back to 16 and compare the rule with itself
+    out = tmp_path / "r16.csv"
+    run(["rate", "--d", "3", "--lambda", "0", "--alphas=-0.5", "--m", "16", "--out", str(out)])
+    row = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")][1]
+    _, r, gap = map(float, row.split(","))
+    prof = tw.build_profile(tw.SpectralPoint(3, 0.0), 2)
+    r16, r32 = (tw.transfer_rate(prof, -0.5, m) for m in (16, 32))
+    assert r == r16
+    assert gap == abs(r16 - r32) > 0.0
+
+
 def test_threshold_json_keys(tmp_path):
     out = tmp_path / "t.json"
     run(["threshold", "--d", "3", "--lambda", "0", "--tol", "1e-3", "--out", str(out)])

@@ -199,17 +199,51 @@ def test_smc_stderr_is_batch_spread():
     assert np.array_equal(curve.stderr, be.std(axis=0) / np.sqrt(curve.batches))
 
 
+def _smc_reference(prof, n, alpha, nbat, per, rng):
+    """The SMC step loop with an explicit dead flag: a batch with no survivor
+    records 0 from then on.  Returns the batch prefix products."""
+    prev, cur = np.zeros((2, nbat, per))
+    factors = np.zeros((nbat, n))
+    dead = np.zeros(nbat, dtype=bool)
+    for k, (b1, b2, var) in enumerate(tw.path_step_table(prof, n).tolist()):
+        nxt = rng.standard_normal((nbat, per))
+        nxt *= np.sqrt(var)
+        nxt += b1 * prev + b2 * cur
+        alive = nxt > alpha
+        count = np.count_nonzero(alive, axis=1)
+        dead |= count == 0
+        factors[:, k] = np.where(dead, 0.0, count / per)
+        if k < n - 1:
+            pick = levelset._systematic_pick(alive, rng.random(nbat), count)
+            prev, cur = cur.take(pick), nxt.take(pick)
+    return np.cumprod(factors, axis=1)
+
+
 def test_smc_draws_nothing_after_the_particle_loop():
+    # alpha = 2 leaves about 1.4 survivors per batch and step, so batches die
     prof = _profile()
-    rng = np.random.default_rng(23)
-    curve = tw.survival_curve_smc(prof, 9, 0.1, 1_000, rng)
-    ref = np.random.default_rng(23)
-    factors = levelset._smc_factors(
-        curve.batches, curve.particles // curve.batches,
-        tw.path_step_table(prof, 9), 0.1, ref,
-    )
-    assert np.array_equal(np.cumprod(factors, axis=1), curve.batch_estimates)
-    assert rng.bit_generator.state == ref.bit_generator.state
+    dying = 0
+    for alpha in (0.1, 2.0):
+        for n in (1, 2, 9):
+            rng = np.random.default_rng(23)
+            curve = tw.survival_curve_smc(prof, n, alpha, 1_000, rng)
+            ref = np.random.default_rng(23)
+            expected = _smc_reference(
+                prof, n, alpha, curve.batches, curve.particles // curve.batches, ref
+            )
+            assert np.array_equal(expected, curve.batch_estimates)
+            assert rng.bit_generator.state == ref.bit_generator.state
+            dying += np.count_nonzero(curve.batch_estimates[:, -1] == 0.0)
+    assert dying > 0
+
+
+def test_smc_path_length_is_checked_before_any_allocation():
+    prof = _profile()
+    rng = np.random.default_rng(0)
+    for n in (9.0, True):
+        with pytest.raises(ValidationError, match="path length must be an integer"):
+            tw.survival_curve_smc(prof, n, 0.1, 1_000, rng)
+    assert tw.survival_curve_smc(prof, np.int64(9), 0.1, 1_000, rng).p_hat.shape == (9,)
 
 
 @pytest.mark.parametrize("n", [1, 2, 9])
@@ -237,7 +271,7 @@ def test_systematic_pick_resamples_each_row_within_itself(u):
     alive[2, 0] = True
     alive[6, [0, 5]] = True
     us = np.full(7, u)
-    pick = levelset._systematic_pick(alive, us)
+    pick = levelset._systematic_pick(alive, us, np.count_nonzero(alive, axis=1))
     assert pick.shape == alive.shape
     rows, cols = np.divmod(pick, per)
     assert (rows == np.arange(7)[:, None]).all()  # no row borrows another's particles
