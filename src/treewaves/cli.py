@@ -15,7 +15,8 @@ table itself.
 Outputs are deterministic for fixed (seed, flags): no timestamps, floats
 printed with 17 significant digits and '.' as the decimal separator, fixed key
 order, '\n' line endings.  Tables are CSV with a '#'-prefixed metadata block
-(d, lambda, seed, tool version); summaries are JSON with "schema_version": 1.
+(d, lambda, seed, tool version), their rows formatted in numpy blocks with the
+bytes of Python's `%d` and `%.17g`; summaries are JSON with "schema_version": 1.
 
 Exit codes: 0 success, 2 invalid parameters, 1 runtime failure.  A rule on
 one flag is that flag's argparse type; a rule across flags is checked by the
@@ -69,8 +70,20 @@ from .tree import DEFAULT_VERTEX_BUDGET, Ball, ball_vertex_count, shell_sizes
 SCHEMA_VERSION = 1
 TOOL = f"treewaves {__version__}"
 EIGEN_RESIDUAL_RTOL = 1e-8
-# CSV rows are formatted this many at a time.
+# CSV rows are formatted in blocks of at most CSV_BLOCK_ROWS rows and
+# _CSV_BLOCK_BYTES of padded text (up to 48 bytes a number).  A block of fewer rows,
+# or more string bytes a row, takes one `%`: numpy's fixed cost or NUL padding loses.
 CSV_BLOCK_ROWS = 1 << 14
+_CSV_BLOCK_BYTES = 1 << 22
+_CSV_SMALL_ROWS, _CSV_WIDE_TEXT = 256, 192
+# 10^e as doubles (those under 1 round up, so |v| >= _DECADES[e + 4] is exactly
+# |v| >= 10^e), and 10^q with its Veltkamp halves for Dekker's product
+_DECADES = np.array([float(f"1e{e}") for e in range(-4, 17)])
+_POW10 = 10.0 ** np.arange(21)
+_POW10_HI = _POW10 * (2.0**27 + 1) - (_POW10 * (2.0**27 + 1) - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+# the unit of each digit of a 17-digit integer, in its top nine or low eight digits
+_DIGIT_UNIT = (10 ** np.r_[8:-1:-1, 7:-1:-1])[:, None].astype(np.int32)
 # The sample-path CSV gives the depth-k vertex the address "0/0/.../0" (2k - 1
 # characters), so an n-vertex table holds about n^2 characters: ~100 MB at 10^4.
 PATH_CSV_MAX_N = 10**4
@@ -78,7 +91,7 @@ PROFILE_MAX_N = 10**6  # phi(n) is exactly 0.0 past n ~ 2100 at d = 3; 10^6 rows
 PATH_MAX_N = 10**6  # survival and gibbs paths; a Gibbs plan build at 10^6 peaks near 170 MB
 SMC_MAX_PARTICLES = 10**7  # survival --method smc peaks near 55 MB per 10^6 particles
 DIRECT_MAX_REPS = 10**7  # survival --method direct holds under 25 MB per 10^6 reps
-GIBBS_MAX_VALUES = 2 * 10**7  # gibbs state plus retained output, float64; peaks near 500 MB
+GIBBS_MAX_VALUES = 2 * 10**7  # gibbs state plus retained output, float64; peaks near 220 MB
 RATE_MAX_STEPS = 10**4  # rate --alpha-steps; every level costs two transfer-operator solves
 # verify draws and checks its reps in (rows, ball size) blocks of at most this
 # many float64 values (2 MB; one row when a ball is larger).  At d = 3, radius
@@ -150,19 +163,95 @@ def _summary(args, payload: dict) -> dict:
 def _csv_chunks(args, meta: dict, columns: dict) -> Iterator[str]:
     """Metadata block, header and one row per entry of the named columns:
     strings from a list, integers like str, floats with 17 significant digits.
-    Rows are formatted CSV_BLOCK_ROWS at a time, one `%` per block, so no full
-    copy of a large table is ever held as text."""
+    A column is a list, an array, or a function from row indices to values.
+    Rows are formatted a block at a time, so no large table is held as text:
+    a block's columns become NUL-padded uint8 text matrices, joined by ','
+    and '\n' columns, and the NULs are deleted."""
     lines = [f"# {k}={v if isinstance(v, str) else _json_text(v)}"
              for k, v in _summary(args, meta).items()]
     lines.append(",".join(columns))
     yield "\n".join(lines) + "\n"
-    row = ",".join("%s" if isinstance(c, list) else "%d" if c.dtype.kind in "iu" else "%.17g"
-                   for c in columns.values()) + "\n"
-    size = len(next(iter(columns.values())))
-    for lo in range(0, size, CSV_BLOCK_ROWS):
+    size = len(next(c for c in columns.values() if not callable(c)))
+    lo = 0
+    while lo < size:
         hi = min(lo + CSV_BLOCK_ROWS, size)
-        block = [c[lo:hi] if isinstance(c, list) else c[lo:hi].tolist() for c in columns.values()]
-        yield (row * (hi - lo)) % tuple(chain.from_iterable(zip(*block)))
+        widths = [max(map(len, c[lo:hi])) if isinstance(c, list) else 0 for c in columns.values()]
+        hi = min(hi, lo + max(1, _CSV_BLOCK_BYTES // (sum(widths) + 48 * len(widths))))
+        block = [c(np.arange(lo, hi)) if callable(c) else c[lo:hi] for c in columns.values()]
+        if hi - lo < _CSV_SMALL_ROWS or sum(widths) > _CSV_WIDE_TEXT:
+            row = ",".join("%s" if isinstance(b, list) else "%d" if b.dtype.kind in "iu"
+                           else "%.17g" for b in block) + "\n"
+            cells = zip(*(b if isinstance(b, list) else b.tolist() for b in block))
+            yield (row * (hi - lo)) % tuple(chain.from_iterable(cells))
+        else:
+            parts = []
+            for b, w, end in zip(block, widths, b"," * (len(block) - 1) + b"\n"):
+                parts += [np.array(b, f"S{w}").view(np.uint8).reshape(hi - lo, -1)
+                          if isinstance(b, list) else _int_text(b) if b.dtype.kind in "iu"
+                          else _float_text(b), np.full((hi - lo, 1), end, np.uint8)]
+            yield np.concatenate(parts, axis=1).tobytes().translate(None, b"\0").decode()
+        lo = hi
+
+
+def _int_text(v: np.ndarray) -> np.ndarray:
+    """`"%d" % i` for each 64-bit integer i in v, NUL-padded, one row each."""
+    neg, v = v < 0, -np.abs(v.astype(np.int64))  # -|i|: at -2^63 both signs wrap back
+    q = v // -10  # |i| // 10
+    m = np.zeros((len(str(q.max())) + 2, len(v)), np.uint8)
+    m[0] = neg * ord("-")
+    m[-1] = ord("0") - (v + 10 * q)
+    for k in range(len(m) - 2, 0, -1):  # leading digits, while the quotient is > 0
+        m[k] = (q > 0) * (ord("0") + q - q // 10 * 10)
+        q //= 10
+    return m.T
+
+
+def _float_text(x: np.ndarray) -> np.ndarray:
+    """`"%.17g" % v` for each v in x, NUL-padded, one row each.  For
+    1e-4 <= |v| < 1e17, of decade e, the digits are d = round(|v| 10^(16 - e)),
+    ties to even: Dekker's product is hi + lo exactly, hi >= 2^53 an integer.
+    The point follows digit e; trailing zeros after it are dropped.  Zeros print
+    as 0 and -0; the rest (exponent form, nan, inf) take one `%` per block."""
+    x = np.asarray(x, np.float64)
+    a = np.abs(x)
+    exact = (a >= 1e-4) & (a < 1e17)
+    a[~exact] = 1.0
+    point = np.searchsorted(_DECADES, a, "right") - 5  # the decade e of |v|
+    hi = a * _POW10[16 - point]
+    ah = a * (2.0**27 + 1)
+    ah -= ah - a
+    al = a - ah
+    bh, bl = _POW10_HI[16 - point], _POW10_LO[16 - point]
+    lo = ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    # tail[j]: digits j.. of j's half of d, in place (new (17, rows) arrays page-fault)
+    tail = np.empty((17, len(x)), np.int32)
+    tail[:9], tail[9:] = np.divmod(d, 10**8)
+    high = tail // (10 * _DIGIT_UNIT)
+    tail -= np.multiply(high, 10 * _DIGIT_UNIT, out=high)
+    digits = np.floor_divide(tail, _DIGIT_UNIT, out=high).astype(np.uint8) + ord("0")
+    tail = tail != 0
+    tail[:9] |= tail[9]  # now: a nonzero digit from j on
+    digits[1:] *= tail[1:] | (np.arange(1, 17)[:, None] <= point)
+    # sign, lead, then digits 0..top each with a slot for the point after it
+    top = max(int(point.max()), -1)
+    m = np.zeros((24 + max(top, 0), len(x)), np.uint8)
+    m[0] = np.signbit(x) * ord("-")
+    m[1:6] = (point < np.c_[[0, 0, -1, -2, -3]]) * np.c_[list(b"0.000")]  # below 1: 0.0..
+    m[6:8 + 2 * top:2] = digits[:top + 1]
+    m[8 + 2 * top:24 + top] = digits[top + 1:]
+    at = np.flatnonzero((point >= 0) & (point < 16))
+    at = at[tail[point[at] + 1, at]]
+    m[7 + 2 * point[at], at] = ord(".")
+    rest = np.flatnonzero(~exact)
+    if len(rest):
+        m[1:, rest] = 0
+        m[1, rest] = ord("0")
+        other = rest[x[rest] != 0]  # no "%.17g" text is longer than 24 characters
+        if len(other):
+            text = ("%.17g\0" * len(other) % tuple(x[other].tolist())).split("\0")[:-1]
+            m[:24, other] = np.array(text, "S24").view(np.uint8).reshape(-1, 24).T
+    return m.T
 
 
 def _bounded(kind: type, lo=None, hi=None):
@@ -309,10 +398,10 @@ def _cmd_gibbs(args) -> Document:
     meta = {"n": n, "alpha": args.alpha, "sweeps": args.sweeps,
             "burnin": args.burnin, "thin": args.thin, "chains": chains}
     if args.out_chain is not None:
-        # chain-major rows; the chain column only when there are several
-        chain, t, k = (a.ravel() for a in np.indices(states.shape))
-        columns = {"chain": chain, "sweep": args.burnin + (t + 1) * args.thin,
-                   "coordinate": k + 1, "value": states.ravel()}
+        # chain-major rows, indexed block by block; the chain column only when there are several
+        columns = {"chain": lambda i: i // (kept * n),
+                   "sweep": lambda i: args.burnin + (i // n % kept + 1) * args.thin,
+                   "coordinate": lambda i: i % n + 1, "value": states.ravel()}
         if chains == 1:
             del columns["chain"]
         _emit(_csv_chunks(args, meta, columns), args.out_chain)

@@ -1,12 +1,13 @@
 """Property tests over random (d, lambda): the wave identities of recursive
 ball samples, the rank of the dense ball covariance, a decay rate that does
 not increase with the level, Gibbs stencils that match their closed forms,
-and byte-identical CLI reruns.
+byte-identical CLI reruns, and CSV cells with the bytes of per-value `%`.
 
 Runs are derandomized, so every run draws the same cases; the `example` rows
 pin the spectral edges at both ends of the degree range.
 """
 
+import argparse
 import contextlib
 import io
 
@@ -18,6 +19,7 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import treewaves as tw  # noqa: E402
+import treewaves.cli as cli  # noqa: E402
 from treewaves.cli import run  # noqa: E402
 
 LOW_EDGE_D3 = (3, -tw.spectral_edge(3))
@@ -124,3 +126,61 @@ def test_survival_reruns_byte_identical(point, n, alpha, method, seed):
             f"--alpha={alpha!r}", "--method", method, "--particles", "400",
             "--reps", "2000", "--seed", str(seed)]
     assert _stdout(argv) == _stdout(argv)
+
+
+def _csv_cells(values, fmt):
+    """A one-column `_csv_chunks` body of `values`, repeated to the row count
+    that takes the numpy block path, and the same rows as per-value `fmt`."""
+    rows = max(len(values), cli._CSV_SMALL_ROWS)
+    column = [values[i % len(values)] for i in range(rows)]
+    if not isinstance(values, list):
+        column = np.asarray(column, values.dtype)
+    text = "".join(cli._csv_chunks(argparse.Namespace(d=3, lam=0.0, seed=0), {}, {"x": column}))
+    return text.split("\nx\n", 1)[1], "".join(fmt % v + "\n" for v in column)
+
+
+@pytest.mark.filterwarnings("error")  # nan and inf cells raise no numpy RuntimeWarning
+@settings(PROPERTY, max_examples=200)
+@given(values=st.lists(st.floats(), min_size=1, max_size=40))
+@example(values=[float("nan"), float("inf"), -float("inf"), 0.0, -0.0, 5e-324, 2.2250738585072014e-308])
+def test_csv_floats_match_per_value_formatting(values):
+    body, expected = _csv_cells(np.array(values, dtype=np.float64), "%.17g")
+    assert body == expected
+
+
+@pytest.mark.filterwarnings("error")
+@settings(PROPERTY, max_examples=100)
+@given(values=st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=40))
+@example(values=[-(2**63), 2**63 - 1, 0, -1, 9, 10, -10])
+def test_csv_integers_match_per_value_formatting(values):
+    body, expected = _csv_cells(np.array(values, dtype=np.int64), "%d")
+    assert body == expected
+
+
+@pytest.mark.filterwarnings("error")
+@settings(PROPERTY, max_examples=100)
+@given(values=st.lists(st.text(st.characters(min_codepoint=1, max_codepoint=127), max_size=12),
+                       min_size=1, max_size=40))
+def test_csv_strings_match_per_value_formatting(values):
+    body, expected = _csv_cells(values, "%s")
+    assert body == expected
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value, text", [
+    (1234567890123456.25, "1234567890123456.2"),  # a tie: rounds to even
+    (1234567890123456.75, "1234567890123456.8"),  # a tie: rounds to even
+    (99999999999999984.0, "99999999999999984"),  # the largest fixed-point double
+    (1e17, "1e+17"),
+    (9.9999999999999991e-05, "9.9999999999999991e-05"),  # under 1e-4: exponent form
+    (1e-4, "0.0001"),
+    (0.09999999999999999, "0.099999999999999992"),  # one ulp under a decade
+    (0.9999999999999999, "0.99999999999999989"),
+    (0.1, "0.10000000000000001"),
+    (5e-324, "4.9406564584124654e-324"),
+    (-0.0, "-0"),
+])
+def test_csv_float_pinned_rows(value, text):
+    body, expected = _csv_cells(np.array([value, -2.5]), "%.17g")
+    assert body == expected
+    assert body.split("\n", 1)[0] == text
