@@ -162,32 +162,38 @@ def _summary(args, payload: dict) -> dict:
 
 def _csv_chunks(args, meta: dict, columns: dict) -> Iterator[str]:
     """Metadata block, header and one row per entry of the named columns:
-    strings from a list, integers like str, floats with 17 significant digits.
-    A column is a list, an array, or a function from row indices to values.
-    Rows are formatted a block at a time, so no large table is held as text:
-    a block's columns become NUL-padded uint8 text matrices, joined by ','
-    and '\n' columns, and the NULs are deleted."""
+    strings from a list or a bytes array (its NULs deleted), integers like
+    str, floats with 17 significant digits.  A column is a list, an array, or
+    a function from row indices to values.  Rows are formatted a block at a
+    time, so no large table is held as text: a block's columns become
+    NUL-padded uint8 text matrices, joined by ',' and '\n' columns, and the
+    NULs are deleted."""
     lines = [f"# {k}={v if isinstance(v, str) else _json_text(v)}"
              for k, v in _summary(args, meta).items()]
     lines.append(",".join(columns))
     yield "\n".join(lines) + "\n"
     size = len(next(c for c in columns.values() if not callable(c)))
+    text = [isinstance(c, list) or isinstance(c, np.ndarray) and c.dtype.kind == "S"
+            for c in columns.values()]
     lo = 0
     while lo < size:
         hi = min(lo + CSV_BLOCK_ROWS, size)
-        widths = [max(map(len, c[lo:hi])) if isinstance(c, list) else 0 for c in columns.values()]
+        widths = [(max(map(len, c[lo:hi])) if isinstance(c, list) else c.itemsize) if t else 0
+                  for c, t in zip(columns.values(), text)]
         hi = min(hi, lo + max(1, _CSV_BLOCK_BYTES // (sum(widths) + 48 * len(widths))))
         block = [c(np.arange(lo, hi)) if callable(c) else c[lo:hi] for c in columns.values()]
         if hi - lo < _CSV_SMALL_ROWS or sum(widths) > _CSV_WIDE_TEXT:
-            row = ",".join("%s" if isinstance(b, list) else "%d" if b.dtype.kind in "iu"
-                           else "%.17g" for b in block) + "\n"
-            cells = zip(*(b if isinstance(b, list) else b.tolist() for b in block))
+            row = ",".join("%s" if t else "%d" if b.dtype.kind in "iu"
+                           else "%.17g" for b, t in zip(block, text)) + "\n"
+            cells = zip(*(b if isinstance(b, list) else
+                          [a.replace(b"\0", b"").decode() for a in b.tolist()] if t else
+                          b.tolist() for b, t in zip(block, text)))
             yield (row * (hi - lo)) % tuple(chain.from_iterable(cells))
         else:
             parts = []
-            for b, w, end in zip(block, widths, b"," * (len(block) - 1) + b"\n"):
-                parts += [np.array(b, f"S{w}").view(np.uint8).reshape(hi - lo, -1)
-                          if isinstance(b, list) else _int_text(b) if b.dtype.kind in "iu"
+            for b, t, w, end in zip(block, text, widths, b"," * (len(block) - 1) + b"\n"):
+                parts += [np.asarray(b, f"S{w}").view(np.uint8).reshape(hi - lo, -1)
+                          if t else _int_text(b) if b.dtype.kind in "iu"
                           else _float_text(b), np.full((hi - lo, 1), end, np.uint8)]
             yield np.concatenate(parts, axis=1).tobytes().translate(None, b"\0").decode()
         lo = hi
@@ -322,7 +328,7 @@ def _cmd_sample_ball(args) -> Document:
     draw = sample_ball_dense if args.sampler == "dense" else sample_ball_recursive
     sample = draw(profile, args.radius, rng)
     ball = sample.ball
-    columns = {"vertex": ball.addresses(), "depth": ball.depth, "value": sample.values}
+    columns = {"vertex": ball.address_bytes(), "depth": ball.depth, "value": sample.values}
     return {"sampler": sample.sampler, "radius": args.radius}, columns
 
 

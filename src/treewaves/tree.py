@@ -5,7 +5,8 @@ the empty address, its d subtrees are labelled 0..d-1, and every deeper vertex
 appends a label in 0..d-2 (the remaining edge of a non-root vertex points back
 toward the root).  Addresses are stable across radii, so balls of different
 radii share coordinates, and serialize as slash-joined labels ("" for the
-root, "0/1/0" for a depth-3 vertex).
+root, "0/1/0" for a depth-3 vertex).  `Ball.address_bytes` builds them as one
+NUL-padded bytes array, a sphere at a time; the CSV writer takes it as is.
 """
 
 from __future__ import annotations
@@ -74,13 +75,25 @@ class Ball:
 
     def addresses(self) -> list[str]:
         """Slash-joined address of every vertex, in BFS order."""
-        labels = [str(i) for i in range(self.d)]
-        shell = labels if self.radius > 0 else []
-        out = [""] + shell
-        for _ in range(1, self.radius):
-            shell = [f"{a}/{c}" for a in shell for c in labels[:-1]]
-            out.extend(shell)
-        return out
+        return [a.replace(b"\0", b"").decode() for a in self.address_bytes().tolist()]
+
+    def address_bytes(self) -> np.ndarray:
+        """`addresses()` as a NUL-padded bytes array, built a sphere at a time:
+        each label has a slot as wide as str(d - 1), so at d >= 11 a one-digit
+        label leaves a NUL inside its row; delete NULs to read the address."""
+        w = len(str(self.d - 1))
+        labels = np.array([str(i) for i in range(self.d)], f"S{w}").view(np.uint8).reshape(-1, w)
+        rows = np.zeros((len(self), max(1, self.radius * (w + 1) - 1)), np.uint8)
+        if self.radius > 0:
+            rows[1 : self.d + 1, :w] = labels
+        for k in range(2, self.radius + 1):
+            # sphere k: sphere k - 1 repeated d - 1 times, then '/' and a child label
+            a, b, c = self.starts[k - 1 : k + 2]
+            lead, cur = (k - 1) * (w + 1) - 1, rows[b:c].reshape(b - a, self.d - 1, -1)
+            cur[:, :, :lead] = rows[a:b, None, :lead]
+            cur[:, :, lead] = ord("/")
+            cur[:, :, lead + 1 : lead + 1 + w] = labels[:-1]
+        return rows.view(f"S{rows.shape[1]}").ravel()
 
 
 def shell_sizes(d: int, r: int, max_vertices: int = DEFAULT_VERTEX_BUDGET) -> list[int]:

@@ -381,6 +381,19 @@ def test_sample_ball_csv_contents(tmp_path):
     assert [r.split(",")[0] for r in dense_rows[1:]] == [r[0] for r in body]
 
 
+def test_sample_ball_csv_with_two_digit_labels(tmp_path):
+    out = tmp_path / "ball11.csv"
+    run(["sample-ball", "--d", "11", "--lambda", "0", "--radius", "3", "--sampler", "recursive",
+         "--out", str(out)])
+    rows = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    body = [r.split(",") for r in rows[1:]]
+    ref = ball_addresses(11, 3)
+    assert len(body) == len(ref) == 1222
+    assert [(vertex, int(depth)) for vertex, depth, _ in body] == [
+        (to_string(a), len(a)) for a in ref
+    ]
+
+
 def test_verify_json_passes(tmp_path):
     out = tmp_path / "v.json"
     run(["verify", "--d", "4", "--lambda", "-1.0", "--radius", "2", "--reps", "100",
@@ -551,6 +564,26 @@ def test_csv_rows_match_per_value_formatting(block, monkeypatch):
                   for a, k, v in zip(columns["vertex"], columns["depth"].tolist(), values.tolist()))
     assert body == ref
     assert body.splitlines()[:2] == [",0,-0", "0,1,4.9406564584124654e-324"]
+
+
+@pytest.mark.parametrize("rows", [7, 300])
+def test_csv_bytes_column_matches_per_value_formatting(rows):
+    # an S array with NULs inside its rows, as Ball.address_bytes gives at d >= 11:
+    # under _CSV_SMALL_ROWS rows it takes the `%` branch, from 256 rows the numpy one
+    import treewaves.cli as cli_mod
+
+    cells = [b"", b"0\0", b"10", b"3\0/0", b"10/9", b"7\0/10\0/1", b"0\0/0"]
+    vertex = np.array((cells * rows)[:rows], "S9")
+    depth = np.arange(rows) - 3
+    values = np.random.default_rng(2).standard_normal(rows) * 10.0 ** (np.arange(rows) % 9 - 4)
+    args = argparse.Namespace(d=11, lam=0.0, seed=0)
+    text = "".join(cli_mod._csv_chunks(args, {"n": rows},
+                                       {"vertex": vertex, "depth": depth, "value": values}))
+    body = text.split("vertex,depth,value\n", 1)[1]
+    strings = [a.replace(b"\0", b"").decode() for a in vertex.tolist()]
+    ref = "".join("%s,%d,%.17g\n" % row for row in zip(strings, depth.tolist(), values.tolist()))
+    assert body == ref
+    assert (rows < cli_mod._CSV_SMALL_ROWS) == (rows == 7)
 
 
 def test_rate_csv(tmp_path):

@@ -56,10 +56,26 @@ def test_enumerate_ball_structure():
         assert ball.addresses() == [to_string(a) for a in ref]
 
 
+@pytest.mark.parametrize("d", [3, 4, 10, 11, 12])
+def test_address_bytes_match_reference_with_two_digit_labels(d):
+    # from d = 11 on labels have two digits: a one-digit label leaves a NUL
+    # inside its fixed-width slot, which the decode deletes
+    for r in range(4):
+        ball = tw.enumerate_ball(d, r)
+        ref = [to_string(a) for a in ball_addresses(d, r)]
+        raw = ball.address_bytes()
+        assert raw.dtype.kind == "S" and raw.shape == (len(ball),)
+        assert [a.replace(b"\0", b"").decode() for a in raw.tolist()] == ref
+        assert ball.addresses() == ref
+    if d >= 11:
+        assert b"\0" in tw.enumerate_ball(d, 2).address_bytes()[d + 1]
+
+
 def test_ball_radius_zero_structure():
     ball = tw.enumerate_ball(3, 0)
     assert len(ball) == 1
     assert ball.addresses() == [""]
+    assert ball.address_bytes().tolist() == [b""]
     assert ball.interior_indices() == range(0)
     assert ball.parent.tolist() == [-1] and ball.depth.tolist() == [0]
     assert not ball.parent.flags.writeable and not ball.depth.flags.writeable
