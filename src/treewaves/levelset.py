@@ -188,24 +188,23 @@ def survival_curve_smc(
 ) -> SurvivalCurve:
     """Sequential Monte Carlo along the path with systematic resampling.
 
+    The particles split into min(batches, particles // 50) independent
+    batches, and `particles` is rounded down to a multiple of that count.
     Particles start from zeros and carry the last two surviving coordinates;
     each step multiplies the estimator by the surviving fraction and resamples
-    each independent batch systematically, from one uniform per batch and
-    step; the last step is not resampled, since nothing reads its particles.
-    A batch with no survivor reads 0 from then on.  The per-step fraction
-    estimator makes every batch's prefix product unbiased for P(n); the
-    standard error is the batch spread over sqrt(batches).  Nothing is drawn
-    after the particle loop.
+    each batch systematically, from one uniform per batch and step; the last
+    step is not resampled, since nothing reads its particles.  A batch with no
+    survivor reads 0 from then on.  The per-step fraction estimator makes every
+    batch's prefix product unbiased for P(n); the standard error is the batch
+    spread over sqrt(batches).  Nothing is drawn after the particle loop.
     """
-    if n_max < 1:
-        raise ValidationError(f"n_max must be >= 1, got {n_max}")
     if particles < 100:
         raise ValidationError(f"particles must be >= 100, got {particles}")
     if not math.isfinite(alpha):
         raise ValidationError(f"alpha must be finite, got {alpha!r}")
     if batches < 2:
         raise ValidationError(f"batches must be >= 2, got {batches}")
-    steps = path_step_table(profile, n_max)  # checks n_max is an integer before any allocation
+    steps = path_step_table(profile, n_max)  # checks the path length before any allocation
     nbat = min(batches, particles // 50)
     per = particles // nbat
     prev, cur = np.zeros((2, nbat, per))

@@ -17,12 +17,12 @@ Two routes produce a ball sample:
 
 Both routes sample the same law; the recursive one satisfies the local wave
 identities by construction and scales linearly in the ball size.  Only the
-draws repeat per call: the ball and the dense factor are built once per
-(profile, radius) and reused while the same profile object is passed (as in
-`verify`, which draws dense reps one call at a time).  One factor is kept, at
-most 2048^2 float64 (34 MB).  `verify_residuals` checks both wave identities
-on every row of a (reps, ball size) block; the single-sample checks are its
-one-row case.
+draws repeat per call: both routes take `enumerate_ball`'s cached ball, and the
+dense factor is built once per (profile, radius) and reused while the same
+profile object is passed (as in `verify`, which draws dense reps one call at a
+time).  One factor is kept, at most 2048^2 float64 (34 MB).  `verify_residuals`
+checks both wave identities on every row of a (reps, ball size) block; the
+single-sample checks are its one-row case.
 
 A geodesic path is order-2 Markov: given the two previous coordinates the next
 one is Gaussian with mean b1 * (two back) + b2 * (one back) and variance var.
@@ -45,7 +45,7 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .gaussian import PsdFactor, assemble_covariance, factor_psd
 from .spectral import CovarianceProfile
-from .tree import Ball, enumerate_ball
+from .tree import Ball, enumerate_ball, shell_sizes
 
 # |phi(1)| = |lambda|/d <= 2 sqrt(d-1)/d < 1 for d >= 3; reaching 1 would make
 # the step kernel degenerate and signals corrupted inputs.
@@ -131,8 +131,9 @@ def sample_path_many(
 
 @functools.lru_cache(maxsize=1)
 def _dense_ball(profile: CovarianceProfile, r: int) -> tuple[Ball, PsdFactor]:
-    """The radius-r ball and the factor of its covariance; the last pair is kept."""
-    ball = enumerate_ball(profile.point.d, r, max_vertices=DENSE_VERTEX_BUDGET)
+    """The shared radius-r ball, within DENSE_VERTEX_BUDGET, and its covariance factor."""
+    shell_sizes(profile.point.d, r, DENSE_VERTEX_BUDGET)
+    ball = enumerate_ball(profile.point.d, r)
     return ball, factor_psd(assemble_covariance(profile, ball))
 
 
@@ -141,9 +142,8 @@ def sample_ball_dense_many(
 ) -> tuple[Ball, np.ndarray]:
     """reps independent dense ball draws stacked as a (reps, ball size) matrix.
 
-    The ball and its covariance factor are built once per (profile, radius)
-    and reused while the same profile object is passed; one factor (at most
-    34 MB) is kept.
+    The covariance factor is built once per (profile, radius) and reused while
+    the same profile object is passed; one factor (at most 34 MB) is kept.
     """
     if reps < 1:
         raise ValidationError(f"reps must be >= 1, got {reps}")

@@ -19,8 +19,8 @@ import numpy as np
 from .errors import ValidationError
 from .spectral import _degree
 
-# Refuse to enumerate balls beyond this many vertices unless the caller raises
-# the budget explicitly.
+# `shell_sizes` refuses balls beyond this many vertices unless its caller passes
+# another budget; `enumerate_ball` builds within this one.
 DEFAULT_VERTEX_BUDGET = 10**6
 
 
@@ -111,11 +111,11 @@ def shell_sizes(d: int, r: int, max_vertices: int = DEFAULT_VERTEX_BUDGET) -> li
 
 
 @functools.lru_cache(maxsize=1)
-def enumerate_ball(d: int, r: int, max_vertices: int = DEFAULT_VERTEX_BUDGET) -> Ball:
-    """Materialize the radius-r ball in BFS order, within `shell_sizes`' budget.
-    The last ball built (16 bytes per vertex) is kept and returned while the
-    arguments repeat; a Ball is immutable, so callers share it."""
-    sizes = shell_sizes(d, r, max_vertices)
+def enumerate_ball(d: int, r: int) -> Ball:
+    """Materialize the radius-r ball in BFS order, within `shell_sizes`' default
+    budget.  The last ball built (16 bytes per vertex) is kept and returned while
+    (d, r) repeats; a Ball is immutable, so both samplers share it."""
+    sizes = shell_sizes(d, r)
     starts = np.cumsum([0] + sizes)
     # Every interior vertex is the parent of the next `fan` vertices: d at the
     # root, d - 1 below.

@@ -812,3 +812,22 @@ def test_every_range_checked_flag_exits_2_before_any_work(command, flag, value, 
     capsys.readouterr()
     assert run(argv + [f"{flag}={value}"]) == 2
     assert f"argument {flag}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+@pytest.mark.parametrize("command", [
+    ["sample-path"],
+    ["gibbs", "--alpha", "0", "--sweeps", "20", "--burnin", "0", "--thin", "1"],
+    ["survival", "--alpha", "0", "--method", "direct"],
+    ["survival", "--alpha", "0", "--method", "smc"],
+], ids=["sample-path", "gibbs", "survival-direct", "survival-smc"])
+def test_every_path_command_rejects_a_length_with_one_message(command, n, capsys):
+    # the path step table owns the rule; no command checks the length itself
+    assert run(command + ["--d", "3", "--lambda", "0", "--n", n]) == 2
+    assert capsys.readouterr().err == f"error: path length must be >= 1, got {n}\n"
+
+
+@pytest.mark.parametrize("lo, hi", [("1", "1"), ("2", "1")], ids=["equal", "reversed"])
+def test_rate_grid_with_no_width_is_invalid(lo, hi, capsys):
+    assert run(["rate", "--d", "3", "--lambda", "0", "--alpha-min", lo, "--alpha-max", hi]) == 2
+    assert capsys.readouterr().err == "error: --alpha-max must exceed --alpha-min\n"

@@ -215,3 +215,11 @@ def test_repulsion_tail_hand_count():
         tw.repulsion_tail(vals, 6, [1.0])
     with pytest.raises(ValidationError):
         tw.repulsion_tail([], 1, [1.0])
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), float("-inf")], ids=["nan", "-inf"])
+def test_gibbs_level_must_be_finite(alpha):
+    plan = tw.build_gibbs_plan(_profile(3, 0.0), 5)
+    with pytest.raises(ValidationError) as err:
+        tw.gibbs_run(plan, alpha, 20, 0, 1, np.random.default_rng(0))
+    assert str(err.value) == f"alpha must be finite, got {alpha!r}"

@@ -207,3 +207,10 @@ def test_orthant_against_bivariate_cdf():
 def test_orthant_validation():
     with pytest.raises(ValidationError):
         tw.orthant_edge_probability(1.2, 0.0)
+
+
+@pytest.mark.parametrize("alpha", [float("inf"), float("nan")], ids=["inf", "nan"])
+def test_orthant_level_must_be_finite(alpha):
+    with pytest.raises(ValidationError) as err:
+        tw.orthant_edge_probability(0.3, alpha)
+    assert str(err.value) == f"alpha must be finite, got {alpha!r}"

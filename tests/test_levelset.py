@@ -679,3 +679,33 @@ def test_ratio_bounds_single_live_batch_raises(alpha, seed):
     assert curve.p_hat[-1] > 0.0
     with pytest.raises(NumericalError, match="alive at length 6 "):
         tw.survival_ratio_bounds(prof, alpha, [2], [6], 200, np.random.default_rng(seed))
+
+
+def _short_curve():
+    return tw.survival_curve_smc(_profile(), 4, 0.0, 200, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: tw.extract_components(_fabricated_sample(np.zeros(10)), float("nan")),
+     "alpha must be finite, got nan"),
+    (lambda: tw.survival_direct(_profile(), 5, 0.0, 0, np.random.default_rng(0)),
+     "reps must be >= 1, got 0"),
+    (lambda: tw.survival_direct(_profile(), 5, float("inf"), 10, np.random.default_rng(0)),
+     "alpha must be finite, got inf"),
+    (lambda: _short_curve().estimate(0), "length 0 outside curve range 1..4"),
+    (lambda: _short_curve().estimate(5), "length 5 outside curve range 1..4"),
+    (lambda: tw.survival_curve_smc(_profile(), 4, float("nan"), 200, np.random.default_rng(0)),
+     "alpha must be finite, got nan"),
+    (lambda: tw.survival_curve_smc(_profile(), 4, 0.0, 200, np.random.default_rng(0), 1),
+     "batches must be >= 2, got 1"),
+    (lambda: tw.transfer_rate(_profile(), float("nan")), "alpha must be finite, got nan"),
+    (lambda: tw.survival_ratio_bounds(_profile(), 0.0, [], [2], 200, np.random.default_rng(0)),
+     "n_list and m_list must be nonempty"),
+    (lambda: tw.survival_ratio_bounds(_profile(), 0.0, [2], [0], 200, np.random.default_rng(0)),
+     "path lengths must be >= 1"),
+], ids=["components-alpha", "direct-reps", "direct-alpha", "estimate-0", "estimate-past-end",
+        "smc-alpha", "smc-batches", "rate-alpha", "ratio-empty", "ratio-length-0"])
+def test_input_checks(call, message):
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert str(err.value) == message

@@ -181,7 +181,7 @@ def test_dense_cache_keys_on_profile_identity_and_radius():
     info = _dense_ball.cache_info()
     assert (info.hits, info.misses) == (1, 3)
     ball, factor = _dense_ball(twin, 3)
-    assert ball is tw.enumerate_ball(3, 3, max_vertices=DENSE_VERTEX_BUDGET)
+    assert ball is tw.enumerate_ball(3, 3)
     for arr in (factor.factor, ball.parent, ball.depth, ball.starts):
         assert not arr.flags.writeable
 
@@ -331,3 +331,21 @@ def test_degenerate_kernel_at_unit_correlation():
     for d in (3, 4):
         prof = _profile(d, tw.spectral_edge(d), 4)
         assert np.isfinite(tw.path_step_table(prof, 3)[-1]).all()
+
+
+def test_verify_both_samplers_build_the_ball_once(tmp_path):
+    # the dense route checks its smaller budget with shell_sizes, then takes
+    # the same cached ball as the recursive route
+    tw.enumerate_ball.cache_clear()
+    argv = ["verify", "--d", "3", "--lambda", "0.5", "--radius", "3", "--reps", "30",
+            "--sampler", "both", "--out", str(tmp_path / "v.json")]
+    assert run(argv) == 0
+    assert tw.enumerate_ball.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("draw", [tw.sample_ball_dense_many, tw.sample_ball_recursive_many],
+                         ids=["dense", "recursive"])
+def test_ball_draws_reject_no_reps(draw):
+    with pytest.raises(ValidationError) as err:
+        draw(_profile(3, 0.0, 4), 2, 0, np.random.default_rng(0))
+    assert str(err.value) == "reps must be >= 1, got 0"

@@ -206,3 +206,10 @@ def test_repulsion_coefficients_frozen():
     c = tw.repulsion_coefficients(tw.SpectralPoint(3, edge))
     assert c.a1 == pytest.approx(12 * np.sqrt(2.0) / 13.0, rel=1e-14)
     assert c.a2 == pytest.approx(4.0 / 13.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("n_max", [2.0, True, np.float64(3)], ids=["float", "bool", "np.float64"])
+def test_profile_length_must_be_an_integer(n_max):
+    with pytest.raises(ValidationError) as err:
+        tw.build_profile(tw.SpectralPoint(3, 0.0), n_max)
+    assert str(err.value) == f"n_max must be an integer, got {n_max!r}"

@@ -3,6 +3,7 @@ import pytest
 
 import treewaves as tw
 from treewaves.errors import ValidationError
+from treewaves.tree import shell_sizes
 
 from tree_reference import address_index, ball_addresses, to_string, tuple_distance
 
@@ -83,15 +84,15 @@ def test_ball_radius_zero_structure():
 
 def test_enumerate_ball_budget():
     with pytest.raises(ValidationError):
-        tw.enumerate_ball(3, 30, max_vertices=1000)
+        tw.enumerate_ball(3, 30)  # 3221225470 vertices, over the default budget
 
 
 def test_enumerate_ball_budget_is_inclusive():
     for d, r in ((3, 5), (4, 3)):
         count = tw.ball_vertex_count(d, r)
-        assert len(tw.enumerate_ball(d, r, max_vertices=count)) == count
+        assert sum(shell_sizes(d, r, count)) == count
         with pytest.raises(ValidationError):
-            tw.enumerate_ball(d, r, max_vertices=count - 1)
+            shell_sizes(d, r, count - 1)
 
 
 def test_pairwise_distances():
@@ -107,3 +108,17 @@ def test_pairwise_distances():
         ref = ball_addresses(d, r)
         expect = [[tuple_distance(u, v) for v in ref] for u in ref]
         np.testing.assert_array_equal(tw.pairwise_distances(tw.enumerate_ball(d, r)), expect)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: tw.sphere_size(3, -1), "sphere radius must be >= 0, got -1"),
+    (lambda: tw.ball_vertex_count(3, -1), "ball radius must be >= 0, got -1"),
+    (lambda: shell_sizes(3, -1), "ball radius must be >= 0, got -1"),
+    (lambda: tw.enumerate_ball(3, 2).sphere_slice(-1), "sphere -1 outside ball of radius 2"),
+    (lambda: tw.enumerate_ball(3, 2).sphere_slice(3), "sphere 3 outside ball of radius 2"),
+], ids=["sphere_size", "ball_vertex_count", "shell_sizes", "sphere_slice-below",
+        "sphere_slice-above"])
+def test_radius_checks(call, message):
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert str(err.value) == message
