@@ -154,7 +154,7 @@ def _summary(args, payload: dict) -> dict:
         "schema_version": SCHEMA_VERSION,
         "tool": TOOL,
         "d": args.d,
-        "lambda": getattr(args, "lam", 0.0),
+        "lambda": args.lam,
         "seed": getattr(args, "seed", 0),
         **payload,
     }
@@ -458,8 +458,6 @@ def _cmd_threshold(args) -> Document:
     alpha_c = critical_threshold(profile, args.tol, args.m, args.u_max_offset, rates=rates)
     bracket = {"haggstrom": haggstrom_alpha(profile), "expdec": expdec_alpha(profile),
                "site": site_alpha(profile), "union": union_alpha(profile)}
-    if alpha_c not in rates:  # brentq's root is an evaluated level; this covers one that is not
-        rates[alpha_c] = transfer_rate(profile, alpha_c, args.m, args.u_max_offset)
     return {
         "alpha_c": alpha_c,
         "bracket": bracket,

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, finite, integer
 from .gaussian import truncated_standard
 from .sampler import path_step_table
 from .spectral import CovarianceProfile, repulsion_coefficients
@@ -113,8 +113,7 @@ def retained_sweeps(sweeps: int, burnin: int, thin: int, chains: int) -> int:
     sweeps, thin and chains at least 1, burnin at least 0, and one sweep retained."""
     for name, value, least in (("sweeps", sweeps, 1), ("burnin", burnin, 0),
                                ("thin", thin, 1), ("chains", chains, 1)):
-        if value < least:
-            raise ValidationError(f"{name} must be >= {least}, got {value}")
+        integer(name, value, least)
     if sweeps - burnin < thin:
         raise ValidationError(f"no retained sweeps: sweeps - burnin ({sweeps - burnin}) is below "
                               f"thin ({thin}); raise sweeps or lower burnin/thin")
@@ -139,8 +138,7 @@ def gibbs_run(
     """
     if rng is None:
         raise ValidationError("gibbs_run requires an explicit random generator")
-    if not math.isfinite(alpha):
-        raise ValidationError(f"alpha must be finite, got {alpha!r}")
+    finite("alpha", alpha)
     kept = retained_sweeps(sweeps, burnin, thin, chains)
     n = plan.n
     sd = np.sqrt(plan.sigma2)

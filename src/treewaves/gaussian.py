@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, finite
 from .spectral import CovarianceProfile
 from .tree import Ball, pairwise_distances
 
@@ -107,9 +107,7 @@ def orthant_edge_probability(rho: float, alpha: float) -> float:
     to check its root.
     """
     rho = float(rho)
-    alpha = float(alpha)
-    if not math.isfinite(alpha):
-        raise ValidationError(f"alpha must be finite, got {alpha!r}")
+    alpha = finite("alpha", alpha)
     if not math.isfinite(rho) or abs(rho) > 1.0:
         raise ValidationError(f"correlation must lie in [-1, 1], got {rho!r}")
     if rho == 1.0:

@@ -26,7 +26,7 @@ import numpy as np
 import scipy
 from numpy.polynomial.legendre import leggauss
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, finite, integer
 from .gaussian import orthant_edge_probability
 from .sampler import BallSample, _path_columns, path_step_table
 from .spectral import CovarianceProfile
@@ -68,8 +68,7 @@ class ComponentSummary:
 
 def extract_components(sample: BallSample, alpha: float) -> ComponentSummary:
     """Connected components of {value > alpha} within the sampled ball."""
-    if not math.isfinite(alpha):
-        raise ValidationError(f"alpha must be finite, got {alpha!r}")
+    finite("alpha", alpha)
     ball = sample.ball
     above = sample.values > alpha
     # Label every vertex by the top (shallowest) vertex of its cluster: a
@@ -117,10 +116,8 @@ def survival_direct(
     rng: np.random.Generator,
 ) -> SurvivalEstimate:
     """Plain Monte Carlo: fraction of exact path draws above alpha; no draw once all are below."""
-    if reps < 1:
-        raise ValidationError(f"reps must be >= 1, got {reps}")
-    if not math.isfinite(alpha):
-        raise ValidationError(f"alpha must be finite, got {alpha!r}")
+    reps = integer("reps", reps, 1)
+    finite("alpha", alpha)
     alive = np.ones(reps, dtype=bool)
     for col in _path_columns(path_step_table(profile, n), reps, rng):
         alive &= col > alpha
@@ -198,12 +195,9 @@ def survival_curve_smc(
     batch's prefix product unbiased for P(n); the standard error is the batch
     spread over sqrt(batches).  Nothing is drawn after the particle loop.
     """
-    if particles < 100:
-        raise ValidationError(f"particles must be >= 100, got {particles}")
-    if not math.isfinite(alpha):
-        raise ValidationError(f"alpha must be finite, got {alpha!r}")
-    if batches < 2:
-        raise ValidationError(f"batches must be >= 2, got {batches}")
+    particles = integer("particles", particles, 100)
+    finite("alpha", alpha)
+    batches = integer("batches", batches, 2)
     steps = path_step_table(profile, n_max)  # checks the path length before any allocation
     nbat = min(batches, particles // 50)
     per = particles // nbat
@@ -300,8 +294,7 @@ def transfer_rate(
     some).  The Gauss-Legendre nodes and weights are built once per m.
     """
     _check_quadrature(m, u_max_offset)
-    if not math.isfinite(alpha):
-        raise ValidationError(f"alpha must be finite, got {alpha!r}")
+    finite("alpha", alpha)
     u_max = max(alpha, 0.0) + u_max_offset
     b1, b2, s2 = path_step_table(profile, 3)[-1]
     sd = math.sqrt(s2)
@@ -494,12 +487,10 @@ def survival_ratio_bounds(
     alive at a denominator length n or m: a leave-one-out mean there is 0
     and the jackknife ratio 0/0.
     """
-    n_list = [int(v) for v in n_list]
-    m_list = [int(v) for v in m_list]
+    n_list = [integer("path length", v, 1) for v in n_list]
+    m_list = [integer("path length", v, 1) for v in m_list]
     if not n_list or not m_list:
         raise ValidationError("n_list and m_list must be nonempty")
-    if min(n_list + m_list) < 1:
-        raise ValidationError("path lengths must be >= 1")
     top = max(n_list) + max(m_list)
     curve = survival_curve_smc(profile, top, alpha, reps, rng, batches)
     # The curve does not increase with length, so a zero at the top length

@@ -42,7 +42,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, integer
 from .gaussian import PsdFactor, assemble_covariance, factor_psd
 from .spectral import CovarianceProfile
 from .tree import Ball, enumerate_ball, shell_sizes
@@ -82,11 +82,8 @@ def path_step_table(profile: CovarianceProfile, n: int) -> np.ndarray:
     N(0, 1), coordinate 2 its phi(1)-correlated successor, and the order-2
     kernel row fills the rest.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ValidationError(f"path length must be an integer, got {n!r}")
-    if n < 1:
-        raise ValidationError(f"path length must be >= 1, got {n}")
-    steps = np.empty((int(n), 3))
+    n = integer("path length", n, 1)
+    steps = np.empty((n, 3))
     steps[0] = 0.0, 0.0, 1.0
     if n >= 2:
         phi1 = profile.require(1)
@@ -121,17 +118,17 @@ def sample_path_many(
 ) -> np.ndarray:
     """reps independent path draws stacked as a (reps, n) matrix."""
     steps = path_step_table(profile, n)
-    if reps < 1:
-        raise ValidationError(f"reps must be >= 1, got {reps}")
+    reps = integer("reps", reps, 1)
     out = np.empty((reps, len(steps)))
     for k, col in enumerate(_path_columns(steps, reps, rng)):
         out[:, k] = col
     return out
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=1, typed=True)
 def _dense_ball(profile: CovarianceProfile, r: int) -> tuple[Ball, PsdFactor]:
-    """The shared radius-r ball, within DENSE_VERTEX_BUDGET, and its covariance factor."""
+    """The shared radius-r ball, within DENSE_VERTEX_BUDGET, and its covariance
+    factor; keyed by type too, so a float radius reaches the radius rule."""
     shell_sizes(profile.point.d, r, DENSE_VERTEX_BUDGET)
     ball = enumerate_ball(profile.point.d, r)
     return ball, factor_psd(assemble_covariance(profile, ball))
@@ -145,8 +142,7 @@ def sample_ball_dense_many(
     The covariance factor is built once per (profile, radius) and reused while
     the same profile object is passed; one factor (at most 34 MB) is kept.
     """
-    if reps < 1:
-        raise ValidationError(f"reps must be >= 1, got {reps}")
+    reps = integer("reps", reps, 1)
     ball, factor = _dense_ball(profile, r)
     return ball, factor.draw(rng, reps)
 
@@ -168,8 +164,7 @@ def sample_ball_recursive_many(
     block of reps is a different stream from the same number of single
     draws (reps = 1 is `sample_ball_recursive`'s stream).
     """
-    if reps < 1:
-        raise ValidationError(f"reps must be >= 1, got {reps}")
+    reps = integer("reps", reps, 1)
     d, lam = profile.point.d, profile.point.lam
     ball = enumerate_ball(d, r)
     values = np.empty((reps, len(ball)))

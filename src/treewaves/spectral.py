@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, integer
 
 # Relative slack accepted when validating |lambda| <= 2 sqrt(d-1).
 SPECTRAL_EDGE_RTOL = 1e-12
@@ -47,15 +47,6 @@ def spectral_edge(d: int) -> float:
     return 2.0 * math.sqrt(d - 1.0)
 
 
-def _degree(d) -> int:
-    """The tree degree d as an int; a bool, a non-integer or d < 3 is rejected."""
-    if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
-        raise ValidationError(f"degree d must be an integer, got {d!r}")
-    if d < 3:
-        raise ValidationError(f"degree d must be >= 3, got {d}")
-    return int(d)
-
-
 @dataclass(frozen=True)
 class SpectralPoint:
     """A pair (d, lambda) with lambda inside the adjacency spectrum."""
@@ -64,7 +55,7 @@ class SpectralPoint:
     lam: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "d", _degree(self.d))
+        object.__setattr__(self, "d", integer("degree d", self.d, 3))
         lam = float(self.lam)
         edge = spectral_edge(self.d)
         if not math.isfinite(lam) or abs(lam) > edge * (1.0 + SPECTRAL_EDGE_RTOL):
@@ -98,7 +89,7 @@ def _edge_mass(d: int, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def kesten_mckay_cdf(d: int, lam: np.ndarray | float) -> np.ndarray | float:
     """Kesten-McKay CDF F(lambda) (module docstring), elementwise; 0 below -edge, 1 above edge."""
-    _degree(d)
+    integer("degree d", d, 3)
     x = np.clip(-np.asarray(lam, dtype=float) / spectral_edge(d), -1.0, 1.0)
     return _edge_mass(d, np.arccos(x))[0]
 
@@ -116,11 +107,8 @@ def sample_lambda_many(d: int, size: int, rng: np.random.Generator) -> np.ndarra
     psi in M' gives a bracket [lo, hi] proportional to min(u, 1-u)^(1/3).  Newton steps
     on the nearly linear M^(1/3) start at M's tangent at pi/2 and stay in the bracket.
     """
-    _degree(d)
-    if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
-        raise ValidationError(f"size must be an integer, got {size!r}")
-    if size < 0:
-        raise ValidationError(f"size must be >= 0, got {size}")
+    integer("degree d", d, 3)
+    size = integer("size", size, 0)
     u = rng.random(size)
     s = np.minimum(u, 1.0 - u)
     root = np.cbrt(s)
@@ -214,12 +202,9 @@ def build_profile(point: SpectralPoint, n_max: int) -> CovarianceProfile:
     solutions decay like (d-1)^(-k/2)), so any disagreement above
     ROUTE_AGREEMENT_TOL signals a bug rather than conditioning.
     """
-    if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)):
-        raise ValidationError(f"n_max must be an integer, got {n_max!r}")
-    if n_max < 2:
-        raise ValidationError(f"n_max must be >= 2, got {n_max}")
-    closed = _phi_closed_form(point, int(n_max))
-    recur = _phi_recursion(point, int(n_max))
+    n_max = integer("n_max", n_max, 2)
+    closed = _phi_closed_form(point, n_max)
+    recur = _phi_recursion(point, n_max)
     gap = float(np.max(np.abs(closed - recur)))
     if gap > ROUTE_AGREEMENT_TOL:
         raise NumericalError(

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
-from .spectral import _degree
+from .errors import ValidationError, integer
 
 # `shell_sizes` refuses balls beyond this many vertices unless its caller passes
 # another budget; `enumerate_ball` builds within this one.
@@ -26,9 +25,7 @@ DEFAULT_VERTEX_BUDGET = 10**6
 
 def sphere_size(d: int, k: int) -> int:
     """Number of vertices at distance exactly k from a vertex."""
-    _degree(d)
-    if k < 0:
-        raise ValidationError(f"sphere radius must be >= 0, got {k}")
+    d, k = integer("degree d", d, 3), integer("sphere radius", k, 0)
     if k == 0:
         return 1
     return d * (d - 1) ** (k - 1)
@@ -36,9 +33,7 @@ def sphere_size(d: int, k: int) -> int:
 
 def ball_vertex_count(d: int, r: int) -> int:
     """Number of vertices within distance r: 1 + d((d-1)^r - 1)/(d-2)."""
-    _degree(d)
-    if r < 0:
-        raise ValidationError(f"ball radius must be >= 0, got {r}")
+    d, r = integer("degree d", d, 3), integer("ball radius", r, 0)
     return 1 + d * ((d - 1) ** r - 1) // (d - 2)
 
 
@@ -100,8 +95,7 @@ def shell_sizes(d: int, r: int, max_vertices: int = DEFAULT_VERTEX_BUDGET) -> li
     """Sphere sizes 0..r of the radius-r ball.  A negative radius, or a ball
     of more than `max_vertices` vertices, is rejected after at most a few
     shells: the count grows like (d-1)^r, so runaway radii fail fast."""
-    if r < 0:
-        raise ValidationError(f"ball radius must be >= 0, got {r}")
+    r = integer("ball radius", r, 0)
     sizes = [sphere_size(d, 0)]
     while len(sizes) <= r and sum(sizes) <= max_vertices:
         sizes.append(sphere_size(d, len(sizes)))
@@ -110,11 +104,12 @@ def shell_sizes(d: int, r: int, max_vertices: int = DEFAULT_VERTEX_BUDGET) -> li
     return sizes
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=1, typed=True)
 def enumerate_ball(d: int, r: int) -> Ball:
     """Materialize the radius-r ball in BFS order, within `shell_sizes`' default
     budget.  The last ball built (16 bytes per vertex) is kept and returned while
-    (d, r) repeats; a Ball is immutable, so both samplers share it."""
+    (d, r) repeats with the same types, so r = 2.0 misses the entry for r = 2 and
+    meets the radius rule; a Ball is immutable, so both samplers share it."""
     sizes = shell_sizes(d, r)
     starts = np.cumsum([0] + sizes)
     # Every interior vertex is the parent of the next `fan` vertices: d at the

@@ -656,20 +656,6 @@ def test_threshold_repeats_no_rate_evaluation(monkeypatch, capsys, d, lam_frac, 
     assert doc["rate_at_alpha_c"] == tw.transfer_rate(prof, doc["alpha_c"], 64, 8.0)
 
 
-def test_threshold_rate_off_the_search_takes_one_call(monkeypatch, capsys):
-    def off_search(profile, tol, m, u_max_offset, rates):
-        rates[0.0] = 1.0
-        return -0.25
-
-    monkeypatch.setattr(cli, "critical_threshold", off_search)
-    levels = _count_rate_levels(monkeypatch)
-    assert run(["threshold", "--d", "3", "--lambda", "0"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert levels == [-0.25]
-    assert doc["alpha_c"] == -0.25
-    assert doc["rate_at_alpha_c"] == tw.transfer_rate(tw.build_profile(tw.SpectralPoint(3, 0.0), 2), -0.25, 64, 8.0)
-
-
 def test_bounds_json(tmp_path):
     out = tmp_path / "b.json"
     run(["bounds", "--d", "3", "--lambda", "0", "--out", str(out)])

@@ -217,9 +217,13 @@ def test_repulsion_tail_hand_count():
         tw.repulsion_tail([], 1, [1.0])
 
 
-@pytest.mark.parametrize("alpha", [float("nan"), float("-inf")], ids=["nan", "-inf"])
-def test_gibbs_level_must_be_finite(alpha):
+@pytest.mark.parametrize("alpha, chains, message", [
+    (float("nan"), 1, "alpha must be finite, got nan"),
+    (float("-inf"), 1, "alpha must be finite, got -inf"),
+    (0.0, 2.0, "chains must be an integer, got 2.0"),
+], ids=["nan", "-inf", "chains-float"])
+def test_gibbs_level_must_be_finite(alpha, chains, message):
     plan = tw.build_gibbs_plan(_profile(3, 0.0), 5)
     with pytest.raises(ValidationError) as err:
-        tw.gibbs_run(plan, alpha, 20, 0, 1, np.random.default_rng(0))
-    assert str(err.value) == f"alpha must be finite, got {alpha!r}"
+        tw.gibbs_run(plan, alpha, 20, 0, 1, np.random.default_rng(0), chains)
+    assert str(err.value) == message

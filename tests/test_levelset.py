@@ -702,9 +702,22 @@ def _short_curve():
     (lambda: tw.survival_ratio_bounds(_profile(), 0.0, [], [2], 200, np.random.default_rng(0)),
      "n_list and m_list must be nonempty"),
     (lambda: tw.survival_ratio_bounds(_profile(), 0.0, [2], [0], 200, np.random.default_rng(0)),
-     "path lengths must be >= 1"),
+     "path length must be >= 1, got 0"),
+    (lambda: tw.survival_direct(_profile(), 5, 0.0, 10.0, np.random.default_rng(0)),
+     "reps must be an integer, got 10.0"),
+    (lambda: tw.survival_curve_smc(_profile(), 4, 0.0, 1000.0, np.random.default_rng(0)),
+     "particles must be an integer, got 1000.0"),
+    (lambda: tw.survival_curve_smc(_profile(), 4, 0.0, 200, np.random.default_rng(0), 4.0),
+     "batches must be an integer, got 4.0"),
+    (lambda: tw.survival_ratio_bounds(_profile(), 0.0, [2.5], [1.9], 200,
+                                      np.random.default_rng(0)),
+     "path length must be an integer, got 2.5"),
+    (lambda: tw.survival_ratio_bounds(_profile(), 0.0, [True], [2], 200, np.random.default_rng(0)),
+     "path length must be an integer, got True"),
 ], ids=["components-alpha", "direct-reps", "direct-alpha", "estimate-0", "estimate-past-end",
-        "smc-alpha", "smc-batches", "rate-alpha", "ratio-empty", "ratio-length-0"])
+        "smc-alpha", "smc-batches", "rate-alpha", "ratio-empty", "ratio-length-0",
+        "direct-reps-float", "smc-particles-float", "smc-batches-float", "ratio-length-float",
+        "ratio-length-bool"])
 def test_input_checks(call, message):
     with pytest.raises(ValidationError) as err:
         call()

@@ -343,9 +343,30 @@ def test_verify_both_samplers_build_the_ball_once(tmp_path):
     assert tw.enumerate_ball.cache_info().misses == 1
 
 
-@pytest.mark.parametrize("draw", [tw.sample_ball_dense_many, tw.sample_ball_recursive_many],
-                         ids=["dense", "recursive"])
-def test_ball_draws_reject_no_reps(draw):
+def _dense_float_radius_after_a_warm_call():
+    # a radius equal to the cached one but of another type misses the cache
+    prof = _profile(3, 0.0, 4)
+    tw.sample_ball_dense(prof, 2, np.random.default_rng(0))
+    return tw.sample_ball_dense(prof, 2.0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: tw.sample_ball_dense_many(_profile(3, 0.0, 4), 2, 0, np.random.default_rng(0)),
+     "reps must be >= 1, got 0"),
+    (lambda: tw.sample_ball_recursive_many(_profile(3, 0.0, 4), 2, 0, np.random.default_rng(0)),
+     "reps must be >= 1, got 0"),
+    (lambda: tw.sample_ball_dense_many(_profile(3, 0.0, 4), 2, 3.0, np.random.default_rng(0)),
+     "reps must be an integer, got 3.0"),
+    (lambda: tw.sample_ball_recursive_many(_profile(3, 0.0, 4), 2, 3.0, np.random.default_rng(0)),
+     "reps must be an integer, got 3.0"),
+    (lambda: tw.sample_path_many(_profile(3, 0.0, 4), 5, 3.0, np.random.default_rng(0)),
+     "reps must be an integer, got 3.0"),
+    (lambda: tw.sample_ball_recursive(_profile(3, 0.0, 4), 2.0, np.random.default_rng(0)),
+     "ball radius must be an integer, got 2.0"),
+    (_dense_float_radius_after_a_warm_call, "ball radius must be an integer, got 2.0"),
+], ids=["dense", "recursive", "dense-reps-float", "recursive-reps-float", "path-reps-float",
+        "recursive-radius-float", "dense-radius-float-cached"])
+def test_ball_draws_reject_no_reps(call, message):
     with pytest.raises(ValidationError) as err:
-        draw(_profile(3, 0.0, 4), 2, 0, np.random.default_rng(0))
-    assert str(err.value) == "reps must be >= 1, got 0"
+        call()
+    assert str(err.value) == message

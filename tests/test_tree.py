@@ -116,8 +116,12 @@ def test_pairwise_distances():
     (lambda: shell_sizes(3, -1), "ball radius must be >= 0, got -1"),
     (lambda: tw.enumerate_ball(3, 2).sphere_slice(-1), "sphere -1 outside ball of radius 2"),
     (lambda: tw.enumerate_ball(3, 2).sphere_slice(3), "sphere 3 outside ball of radius 2"),
+    (lambda: tw.sphere_size(3, 2.5), "sphere radius must be an integer, got 2.5"),
+    (lambda: tw.ball_vertex_count(3, 2.5), "ball radius must be an integer, got 2.5"),
+    (lambda: tw.enumerate_ball(3, True), "ball radius must be an integer, got True"),
 ], ids=["sphere_size", "ball_vertex_count", "shell_sizes", "sphere_slice-below",
-        "sphere_slice-above"])
+        "sphere_slice-above", "sphere_size-float", "ball_vertex_count-float",
+        "enumerate_ball-bool"])
 def test_radius_checks(call, message):
     with pytest.raises(ValidationError) as err:
         call()
