@@ -85,7 +85,8 @@ _POW10_LO = _POW10 - _POW10_HI
 # the unit of each digit of a 17-digit integer, in its top nine or low eight digits
 _DIGIT_UNIT = (10 ** np.r_[8:-1:-1, 7:-1:-1])[:, None].astype(np.int32)
 # The sample-path CSV gives the depth-k vertex the address "0/0/.../0" (2k - 1
-# characters), so an n-vertex table holds about n^2 characters: ~100 MB at 10^4.
+# characters), so an n-vertex file is about n^2 bytes: ~100 MB at 10^4.  The
+# column is built a block at a time, so memory does not grow with the file.
 PATH_CSV_MAX_N = 10**4
 PROFILE_MAX_N = 10**6  # phi(n) is exactly 0.0 past n ~ 2100 at d = 3; 10^6 rows take ~10 MB
 PATH_MAX_N = 10**6  # survival and gibbs paths; a Gibbs plan build at 10^6 peaks near 170 MB
@@ -164,24 +165,24 @@ def _csv_chunks(args, meta: dict, columns: dict) -> Iterator[str]:
     """Metadata block, header and one row per entry of the named columns:
     strings from a list or a bytes array (its NULs deleted), integers like
     str, floats with 17 significant digits.  A column is a list, an array, or
-    a function from row indices to values.  Rows are formatted a block at a
-    time, so no large table is held as text: a block's columns become
-    NUL-padded uint8 text matrices, joined by ',' and '\n' columns, and the
-    NULs are deleted."""
+    a function from row indices to values; a function's text is measured at a
+    block's last row, so its strings must not narrow as the index grows.
+    Rows are formatted a block at a time, so no large table is held as text:
+    a block's columns become NUL-padded uint8 text matrices, joined by ',' and
+    '\n' columns, and the NULs are deleted."""
     lines = [f"# {k}={v if isinstance(v, str) else _json_text(v)}"
              for k, v in _summary(args, meta).items()]
     lines.append(",".join(columns))
     yield "\n".join(lines) + "\n"
     size = len(next(c for c in columns.values() if not callable(c)))
-    text = [isinstance(c, list) or isinstance(c, np.ndarray) and c.dtype.kind == "S"
-            for c in columns.values()]
     lo = 0
     while lo < size:
         hi = min(lo + CSV_BLOCK_ROWS, size)
-        widths = [(max(map(len, c[lo:hi])) if isinstance(c, list) else c.itemsize) if t else 0
-                  for c, t in zip(columns.values(), text)]
+        widths = [_text_width(c(np.arange(hi - 1, hi)) if callable(c) else c[lo:hi])
+                  for c in columns.values()]
         hi = min(hi, lo + max(1, _CSV_BLOCK_BYTES // (sum(widths) + 48 * len(widths))))
         block = [c(np.arange(lo, hi)) if callable(c) else c[lo:hi] for c in columns.values()]
+        text = [isinstance(b, list) or b.dtype.kind == "S" for b in block]
         if hi - lo < _CSV_SMALL_ROWS or sum(widths) > _CSV_WIDE_TEXT:
             row = ",".join("%s" if t else "%d" if b.dtype.kind in "iu"
                            else "%.17g" for b, t in zip(block, text)) + "\n"
@@ -197,6 +198,13 @@ def _csv_chunks(args, meta: dict, columns: dict) -> Iterator[str]:
                           else _float_text(b), np.full((hi - lo, 1), end, np.uint8)]
             yield np.concatenate(parts, axis=1).tobytes().translate(None, b"\0").decode()
         lo = hi
+
+
+def _text_width(part) -> int:
+    """The longest string of a list, the width of a bytes array, 0 for numbers."""
+    if isinstance(part, list):
+        return max(map(len, part))
+    return part.itemsize if part.dtype.kind == "S" else 0
 
 
 def _int_text(v: np.ndarray) -> np.ndarray:
@@ -336,10 +344,16 @@ def _cmd_sample_path(args) -> Document:
     profile = build_profile(_point(args), 2)  # the path steps read phi(1) and phi(2)
     rng = _rng(args)
     values = sample_path_many(profile, args.n, 1, rng)[0]
-    # the path follows child 0 from the root
-    addresses = [""] + ["0" + "/0" * (k - 1) for k in range(1, args.n)]
-    columns = {"vertex": addresses, "depth": np.arange(args.n), "value": values}
+    columns = {"vertex": _path_addresses, "depth": np.arange(args.n), "value": values}
     return {"sampler": "path", "n": args.n}, columns
+
+
+def _path_addresses(depth: np.ndarray) -> np.ndarray:
+    """Addresses of the path vertices at `depth` as a NUL-padded bytes array: the
+    path follows child 0 from the root, so depth k is "0/0/.../0" (2k - 1 characters)."""
+    width = max(1, 2 * int(depth.max()) - 1)
+    chars = np.resize(np.frombuffer(b"0/", np.uint8), width)
+    return np.where(np.arange(width) < 2 * depth[:, None] - 1, chars, 0).view(f"S{width}").ravel()
 
 
 def _verify_blocks(

@@ -210,6 +210,7 @@ def repulsion_tail(states, k: int, x_grid) -> RepulsionTail:
     n = states.shape[-1]
     if k < 1 or k > n:
         raise ValidationError(f"position k={k} outside 1..{n}")
+    k = integer("position k", k, 1)
     series = states[..., k - 1].reshape(-1)
     ess = batch_means_ess(series)  # > 0 for any nonempty series
     points = []

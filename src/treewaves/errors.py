@@ -5,8 +5,10 @@ code 2) and internal numerical trouble discovered mid-computation (CLI exit
 code 1).
 
 Every count the library takes (the degree d, a radius, a path length, a
-number of draws) goes through `integer`, and every level through `finite`;
-each raises ValidationError with one message per rule:
+number of draws, the quadrature size) and every index (a distance, a sphere,
+a curve length, a path position) goes through `integer`, and every level
+through `finite`; an index keeps its own message for its range.  They raise
+ValidationError with one message per rule:
 "<name> must be an integer, got <value!r>", "<name> must be >= <least>, got
 <value>" and "<name> must be finite, got <value!r>".
 """

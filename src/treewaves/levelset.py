@@ -20,7 +20,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import repeat
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 import scipy
@@ -46,8 +47,7 @@ QUADRATURE_M_MAX = 1024
 _HAGGSTROM_CHECK_ATOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     """One connected cluster of the level set within a ball."""
 
     size: int
@@ -79,14 +79,18 @@ def extract_components(sample: BallSample, alpha: float) -> ComponentSummary:
         par = ball.parent[sl]
         top[sl] = np.where(above[sl] & above[par], top[par], top[sl])
     # Ascending tops list clusters by their smallest BFS index.
-    tops, inv, sizes = np.unique(top[above], return_inverse=True, return_counts=True)
-    reach = np.zeros(tops.size, dtype=np.int64)
-    np.maximum.at(reach, inv, ball.depth[above])
+    label = top[above]
+    sizes = np.bincount(label, minlength=len(ball))
+    reach = np.zeros(len(ball), dtype=np.int64)
+    np.maximum.at(reach, label, ball.depth[above])
+    tops = np.flatnonzero(sizes)
+    sizes, reach = sizes[tops], reach[tops]
     # Largest first, then shallowest, then the root's cluster; the stable
     # sort keeps the remaining ties in ascending-top order.
     order = np.lexsort((tops != 0, reach, -sizes))
     columns = sizes, reach, reach == ball.radius, tops == 0
-    comps = map(Component, *(c[order].tolist() for c in columns))
+    # tuple.__new__ builds each row with no Python frame per cluster
+    comps = map(tuple.__new__, repeat(Component), zip(*(c[order].tolist() for c in columns)))
     return ComponentSummary(
         alpha=alpha,
         components=tuple(comps),
@@ -150,6 +154,7 @@ class SurvivalCurve:
         """The SMC estimate of P(n) read off the curve."""
         if n < 1 or n > self.p_hat.size:
             raise ValidationError(f"length {n} outside curve range 1..{self.p_hat.size}")
+        n = integer("length", n, 1)
         p = float(self.p_hat[n - 1])
         return SurvivalEstimate(
             n=n, alpha=self.alpha, p_hat=p, stderr=float(self.stderr[n - 1]),
@@ -237,8 +242,8 @@ def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _check_quadrature(m: int, u_max_offset: float) -> None:
     """transfer_rate's quadrature rule; critical_threshold checks it before its bracket."""
-    if not 16 <= m <= QUADRATURE_M_MAX:
-        raise ValidationError(f"quadrature size m must lie in [16, {QUADRATURE_M_MAX}], got {m}")
+    if integer("quadrature size m", m, 16) > QUADRATURE_M_MAX:
+        raise ValidationError(f"quadrature size m must be <= {QUADRATURE_M_MAX}, got {m}")
     if not (math.isfinite(u_max_offset) and u_max_offset > 0.0):
         raise ValidationError(f"u_max_offset must be finite and > 0, got {u_max_offset!r}")
 

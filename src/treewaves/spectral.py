@@ -149,7 +149,7 @@ class CovarianceProfile:
         """phi(n), failing loudly when the profile is too short."""
         if n < 0 or n > self.n_max:
             raise ValidationError(f"profile holds phi(0..{self.n_max}); phi({n}) is unavailable")
-        return float(self.phi[n])
+        return float(self.phi[integer("distance n", n, 0)])
 
 
 def _phi_closed_form(point: SpectralPoint, n_max: int) -> np.ndarray:

@@ -62,6 +62,7 @@ class Ball:
         """Positions of the radius-k sphere within the BFS order."""
         if k < 0 or k > self.radius:
             raise ValidationError(f"sphere {k} outside ball of radius {self.radius}")
+        k = integer("sphere", k, 0)
         return slice(int(self.starts[k]), int(self.starts[k + 1]))
 
     def interior_indices(self) -> range:

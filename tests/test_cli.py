@@ -548,6 +548,27 @@ def test_sample_path_csv_contents(tmp_path, monkeypatch):
         assert other.read_bytes() == out.read_bytes()
 
 
+def test_sample_path_address_column_is_built_block_by_block(tmp_path, monkeypatch):
+    # the n^2-character address column is never held whole: with 64 KB blocks the
+    # n = 2000 run (a 4 MB file) peaks under 1 MB of Python allocations
+    import treewaves.cli as cli_mod
+
+    argv = ["sample-path", "--d", "3", "--lambda", "0.5", "--n", "2000", "--seed", "2"]
+    out, small = tmp_path / "path.csv", tmp_path / "small.csv"
+    assert run(argv + ["--out", str(out)]) == 0
+    monkeypatch.setattr(cli_mod, "_CSV_BLOCK_BYTES", 1 << 16)
+    tracemalloc.start()
+    try:
+        assert run(argv + ["--out", str(small)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert small.read_bytes() == out.read_bytes()
+    assert peak < 1 << 20
+    rows = [ln.split(",") for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    assert [r[0] for r in rows[1:]] == [""] + ["0" + "/0" * (k - 1) for k in range(1, 2000)]
+
+
 @pytest.mark.parametrize("block", [1, 3, None])
 def test_csv_rows_match_per_value_formatting(block, monkeypatch):
     import treewaves.cli as cli_mod

@@ -91,12 +91,19 @@ def _reference_components(sample, alpha):
 
 
 def test_extract_components_matches_flood_fill():
+    # the last three shapes are the ball-large pipeline's degrees at small radii;
+    # at alpha = 10 no vertex lies above the level, at -10 every vertex does
     rng = np.random.default_rng(41)
-    for d, lam, r in ((3, 0.5, 6), (4, -1.0, 5), (3, 2.7, 7)):
+    for d, lam, r in ((3, 0.5, 6), (4, -1.0, 5), (3, 2.7, 7), (7, 1.5, 3), (11, -2.0, 2),
+                      (11, 4.0, 3)):
         prof = _profile(d, lam, 2 * r)
         for _ in range(3):
             s = tw.sample_ball_recursive(prof, r, rng)
-            for alpha in (-1.0, -0.3, 0.0, 0.4, 1.2):
+            assert tw.extract_components(s, 10.0).components == ()
+            everything = tw.extract_components(s, -10.0)
+            assert everything.components == ((len(s.ball), r, True, True),)
+            assert (everything.root_size, everything.root_reach) == (len(s.ball), r)
+            for alpha in (-10.0, -1.0, -0.3, 0.0, 0.4, 1.2, 10.0):
                 cs = tw.extract_components(s, alpha)
                 ref = _reference_components(s, alpha)
                 ref.sort(key=lambda c: (-c[0], c[1], not c[3]))
@@ -105,6 +112,26 @@ def test_extract_components_matches_flood_fill():
                 assert got == ref
                 root = next((c for c in ref if c[3]), (0, -1))
                 assert (cs.root_size, cs.root_reach) == root[:2]
+
+
+def test_component_is_a_frozen_named_tuple():
+    c = tw.Component(3, 2, True, False)
+    assert tw.Component._fields == ("size", "reach", "touches_boundary", "contains_root")
+    assert (c.size, c.reach, c.touches_boundary, c.contains_root) == (3, 2, True, False)
+    assert repr(c) == "Component(size=3, reach=2, touches_boundary=True, contains_root=False)"
+    with pytest.raises(AttributeError):
+        c.size = 4
+    size, reach, boundary, root = c  # unpacks, and equals the plain tuple of its fields
+    assert c == (size, reach, boundary, root) and hash(c) == hash((3, 2, True, False))
+    vals = np.full(10, -1.0)
+    vals[[1, 4, 3]] = 1.0
+    cs = tw.extract_components(_fabricated_sample(vals), 0.0)
+    assert all(type(comp) is tw.Component for comp in cs.components)
+    assert repr(cs) == (
+        "ComponentSummary(alpha=0.0, components=("
+        "Component(size=2, reach=2, touches_boundary=True, contains_root=False), "
+        "Component(size=1, reach=1, touches_boundary=False, contains_root=False)), "
+        "root_size=0, root_reach=-1)")
 
 
 def test_haggstrom_alpha_just_below_zero_lambda():
@@ -506,6 +533,8 @@ def test_critical_threshold_checks_inputs_before_the_bracket(monkeypatch):
     prof = _profile(3, 0.0, 2)
     for kwargs, rule in (({"tol": 0.0}, "tol"), ({"tol": float("nan")}, "tol"),
                          ({"m": 8}, "quadrature size m"), ({"m": 5000}, "quadrature size m"),
+                         ({"m": 64.0}, "quadrature size m must be an integer, got 64.0"),
+                         ({"m": True}, "quadrature size m must be an integer, got True"),
                          ({"u_max_offset": float("nan")}, "u_max_offset"),
                          ({"u_max_offset": -1.0}, "u_max_offset")):
         with pytest.raises(ValidationError, match=rule):
@@ -714,10 +743,22 @@ def _short_curve():
      "path length must be an integer, got 2.5"),
     (lambda: tw.survival_ratio_bounds(_profile(), 0.0, [True], [2], 200, np.random.default_rng(0)),
      "path length must be an integer, got True"),
+    (lambda: _profile().require(1.5), "distance n must be an integer, got 1.5"),
+    (lambda: tw.enumerate_ball(3, 2).sphere_slice(1.5), "sphere must be an integer, got 1.5"),
+    (lambda: _short_curve().estimate(2.0), "length must be an integer, got 2.0"),
+    (lambda: tw.repulsion_tail(np.zeros((4, 5)), 2.5, [1.0]),
+     "position k must be an integer, got 2.5"),
+    (lambda: tw.repulsion_tail(np.zeros((4, 5)), True, [1.0]),
+     "position k must be an integer, got True"),
+    (lambda: tw.transfer_rate(_profile(), 0.0, 64.0),
+     "quadrature size m must be an integer, got 64.0"),
+    (lambda: tw.transfer_rate(_profile(), 0.0, True),
+     "quadrature size m must be an integer, got True"),
 ], ids=["components-alpha", "direct-reps", "direct-alpha", "estimate-0", "estimate-past-end",
         "smc-alpha", "smc-batches", "rate-alpha", "ratio-empty", "ratio-length-0",
         "direct-reps-float", "smc-particles-float", "smc-batches-float", "ratio-length-float",
-        "ratio-length-bool"])
+        "ratio-length-bool", "require-float", "sphere-float", "estimate-float",
+        "tail-position-float", "tail-position-bool", "rate-m-float", "rate-m-bool"])
 def test_input_checks(call, message):
     with pytest.raises(ValidationError) as err:
         call()
