@@ -7,16 +7,11 @@ Only `gibbs` (scipy.special), `bounds` and `threshold` (also scipy.optimize,
 scipy.integrate) load scipy subpackages, on first use; the rest load none.
 
 Each subcommand returns its document and writes nothing: a payload dict for a
-JSON summary, or a (metadata, columns) pair for a CSV table.  `run` adds the
-common header (schema version, tool, d, lambda, seed), serializes the document
-and writes it to --out or stdout; only `gibbs --out-chain` writes a second
-table itself.
-
-Outputs are deterministic for fixed (seed, flags): no timestamps, floats
-printed with 17 significant digits and '.' as the decimal separator, fixed key
-order, '\n' line endings.  Tables are CSV with a '#'-prefixed metadata block
-(d, lambda, seed, tool version), their rows formatted in numpy blocks with the
-bytes of Python's `%d` and `%.17g`; summaries are JSON with "schema_version": 1.
+JSON summary, or a (metadata, columns) pair for a CSV table; `gibbs` adds its
+--out-chain table to its payload as a pair under "out_chain".  `run` builds the
+common header (schema version, tool, d, lambda, seed) once, has `textio` turn
+each document into text and is the one place that writes: the chain table
+first, then the document to --out or stdout.
 
 Exit codes: 0 success, 2 invalid parameters, 1 runtime failure.  A rule on
 one flag is that flag's argparse type; a rule across flags is checked by the
@@ -30,12 +25,11 @@ import dataclasses
 import functools
 import math
 import sys
-from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import __version__
+from . import __version__, textio
 from .conditioned import (
     DEFAULT_BURNIN,
     DEFAULT_THIN,
@@ -70,20 +64,6 @@ from .tree import DEFAULT_VERTEX_BUDGET, Ball, ball_vertex_count, shell_sizes
 SCHEMA_VERSION = 1
 TOOL = f"treewaves {__version__}"
 EIGEN_RESIDUAL_RTOL = 1e-8
-# CSV rows are formatted in blocks of at most CSV_BLOCK_ROWS rows and
-# _CSV_BLOCK_BYTES of padded text (up to 48 bytes a number).  A block of fewer rows,
-# or more string bytes a row, takes one `%`: numpy's fixed cost or NUL padding loses.
-CSV_BLOCK_ROWS = 1 << 14
-_CSV_BLOCK_BYTES = 1 << 22
-_CSV_SMALL_ROWS, _CSV_WIDE_TEXT = 256, 192
-# 10^e as doubles (those under 1 round up, so |v| >= _DECADES[e + 4] is exactly
-# |v| >= 10^e), and 10^q with its Veltkamp halves for Dekker's product
-_DECADES = np.array([float(f"1e{e}") for e in range(-4, 17)])
-_POW10 = 10.0 ** np.arange(21)
-_POW10_HI = _POW10 * (2.0**27 + 1) - (_POW10 * (2.0**27 + 1) - _POW10)
-_POW10_LO = _POW10 - _POW10_HI
-# the unit of each digit of a 17-digit integer, in its top nine or low eight digits
-_DIGIT_UNIT = (10 ** np.r_[8:-1:-1, 7:-1:-1])[:, None].astype(np.int32)
 # The sample-path CSV gives the depth-k vertex the address "0/0/.../0" (2k - 1
 # characters), so an n-vertex file is about n^2 bytes: ~100 MB at 10^4.  The
 # column is built a block at a time, so memory does not grow with the file.
@@ -107,36 +87,11 @@ M_HELP = (
 Document = dict | tuple[dict, dict]
 
 
-def _json_text(obj, indent: int = 0) -> str:
-    """JSON with floats at 17 significant digits and insertion-order keys."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        v = float(obj)
-        if not math.isfinite(v):
-            return '"nan"' if math.isnan(v) else ('"inf"' if v > 0 else '"-inf"')
-        return f"{v:.17g}"
-    if isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        rows = [f'{inner}{_json_text(str(k))}: {_json_text(v, indent + 1)}' for k, v in obj.items()]
-        return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        items = list(obj)
-        if not items:
-            return "[]"
-        rows = [f"{inner}{_json_text(v, indent + 1)}" for v in items]
-        return "[\n" + ",\n".join(rows) + f"\n{pad}]"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+def _summary(args) -> dict:
+    """The header keys every output starts with: a JSON summary's first keys,
+    or the first lines of a CSV table's metadata block."""
+    return {"schema_version": SCHEMA_VERSION, "tool": TOOL, "d": args.d, "lambda": args.lam,
+            "seed": getattr(args, "seed", 0)}
 
 
 def _emit(chunks: Iterable[str], out: str | None) -> None:
@@ -146,126 +101,6 @@ def _emit(chunks: Iterable[str], out: str | None) -> None:
     else:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(chunks)
-
-
-def _summary(args, payload: dict) -> dict:
-    """The header keys every output starts with, then `payload`: the body of a
-    JSON summary, or the metadata block of a CSV table."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "tool": TOOL,
-        "d": args.d,
-        "lambda": args.lam,
-        "seed": getattr(args, "seed", 0),
-        **payload,
-    }
-
-
-def _csv_chunks(args, meta: dict, columns: dict) -> Iterator[str]:
-    """Metadata block, header and one row per entry of the named columns:
-    strings from a list or a bytes array (its NULs deleted), integers like
-    str, floats with 17 significant digits.  A column is a list, an array, or
-    a function from row indices to values; a function's text is measured at a
-    block's last row, so its strings must not narrow as the index grows.
-    Rows are formatted a block at a time, so no large table is held as text:
-    a block's columns become NUL-padded uint8 text matrices, joined by ',' and
-    '\n' columns, and the NULs are deleted."""
-    lines = [f"# {k}={v if isinstance(v, str) else _json_text(v)}"
-             for k, v in _summary(args, meta).items()]
-    lines.append(",".join(columns))
-    yield "\n".join(lines) + "\n"
-    size = len(next(c for c in columns.values() if not callable(c)))
-    lo = 0
-    while lo < size:
-        hi = min(lo + CSV_BLOCK_ROWS, size)
-        widths = [_text_width(c(np.arange(hi - 1, hi)) if callable(c) else c[lo:hi])
-                  for c in columns.values()]
-        hi = min(hi, lo + max(1, _CSV_BLOCK_BYTES // (sum(widths) + 48 * len(widths))))
-        block = [c(np.arange(lo, hi)) if callable(c) else c[lo:hi] for c in columns.values()]
-        text = [isinstance(b, list) or b.dtype.kind == "S" for b in block]
-        if hi - lo < _CSV_SMALL_ROWS or sum(widths) > _CSV_WIDE_TEXT:
-            row = ",".join("%s" if t else "%d" if b.dtype.kind in "iu"
-                           else "%.17g" for b, t in zip(block, text)) + "\n"
-            cells = zip(*(b if isinstance(b, list) else
-                          [a.replace(b"\0", b"").decode() for a in b.tolist()] if t else
-                          b.tolist() for b, t in zip(block, text)))
-            yield (row * (hi - lo)) % tuple(chain.from_iterable(cells))
-        else:
-            parts = []
-            for b, t, w, end in zip(block, text, widths, b"," * (len(block) - 1) + b"\n"):
-                parts += [np.asarray(b, f"S{w}").view(np.uint8).reshape(hi - lo, -1)
-                          if t else _int_text(b) if b.dtype.kind in "iu"
-                          else _float_text(b), np.full((hi - lo, 1), end, np.uint8)]
-            yield np.concatenate(parts, axis=1).tobytes().translate(None, b"\0").decode()
-        lo = hi
-
-
-def _text_width(part) -> int:
-    """The longest string of a list, the width of a bytes array, 0 for numbers."""
-    if isinstance(part, list):
-        return max(map(len, part))
-    return part.itemsize if part.dtype.kind == "S" else 0
-
-
-def _int_text(v: np.ndarray) -> np.ndarray:
-    """`"%d" % i` for each 64-bit integer i in v, NUL-padded, one row each."""
-    neg, v = v < 0, -np.abs(v.astype(np.int64))  # -|i|: at -2^63 both signs wrap back
-    q = v // -10  # |i| // 10
-    m = np.zeros((len(str(q.max())) + 2, len(v)), np.uint8)
-    m[0] = neg * ord("-")
-    m[-1] = ord("0") - (v + 10 * q)
-    for k in range(len(m) - 2, 0, -1):  # leading digits, while the quotient is > 0
-        m[k] = (q > 0) * (ord("0") + q - q // 10 * 10)
-        q //= 10
-    return m.T
-
-
-def _float_text(x: np.ndarray) -> np.ndarray:
-    """`"%.17g" % v` for each v in x, NUL-padded, one row each.  For
-    1e-4 <= |v| < 1e17, of decade e, the digits are d = round(|v| 10^(16 - e)),
-    ties to even: Dekker's product is hi + lo exactly, hi >= 2^53 an integer.
-    The point follows digit e; trailing zeros after it are dropped.  Zeros print
-    as 0 and -0; the rest (exponent form, nan, inf) take one `%` per block."""
-    x = np.asarray(x, np.float64)
-    a = np.abs(x)
-    exact = (a >= 1e-4) & (a < 1e17)
-    a[~exact] = 1.0
-    point = np.searchsorted(_DECADES, a, "right") - 5  # the decade e of |v|
-    hi = a * _POW10[16 - point]
-    ah = a * (2.0**27 + 1)
-    ah -= ah - a
-    al = a - ah
-    bh, bl = _POW10_HI[16 - point], _POW10_LO[16 - point]
-    lo = ((ah * bh - hi) + ah * bl + al * bh) + al * bl
-    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-    # tail[j]: digits j.. of j's half of d, in place (new (17, rows) arrays page-fault)
-    tail = np.empty((17, len(x)), np.int32)
-    tail[:9], tail[9:] = np.divmod(d, 10**8)
-    high = tail // (10 * _DIGIT_UNIT)
-    tail -= np.multiply(high, 10 * _DIGIT_UNIT, out=high)
-    digits = np.floor_divide(tail, _DIGIT_UNIT, out=high).astype(np.uint8) + ord("0")
-    tail = tail != 0
-    tail[:9] |= tail[9]  # now: a nonzero digit from j on
-    digits[1:] *= tail[1:] | (np.arange(1, 17)[:, None] <= point)
-    # sign, lead, then digits 0..top each with a slot for the point after it
-    top = max(int(point.max()), -1)
-    m = np.zeros((24 + max(top, 0), len(x)), np.uint8)
-    m[0] = np.signbit(x) * ord("-")
-    m[1:6] = (point < np.c_[[0, 0, -1, -2, -3]]) * np.c_[list(b"0.000")]  # below 1: 0.0..
-    m[6:8 + 2 * top:2] = digits[:top + 1]
-    m[8 + 2 * top:24 + top] = digits[top + 1:]
-    at = np.flatnonzero((point >= 0) & (point < 16))
-    at = at[tail[point[at] + 1, at]]
-    m[7 + 2 * point[at], at] = ord(".")
-    rest = np.flatnonzero(~exact)
-    if len(rest):
-        m[1:, rest] = 0
-        m[1, rest] = ord("0")
-        other = rest[x[rest] != 0]  # no "%.17g" text is longer than 24 characters
-        if len(other):
-            text = ("%.17g\0" * len(other) % tuple(x[other].tolist())).split("\0")[:-1]
-            m[:24, other] = np.array(text, "S24").view(np.uint8).reshape(-1, 24).T
-    return m.T
 
 
 def _bounded(kind: type, lo=None, hi=None):
@@ -352,7 +187,7 @@ def _path_addresses(depth: np.ndarray) -> np.ndarray:
     """Addresses of the path vertices at `depth` as a NUL-padded bytes array: the
     path follows child 0 from the root, so depth k is "0/0/.../0" (2k - 1 characters)."""
     width = max(1, 2 * int(depth.max()) - 1)
-    chars = np.resize(np.frombuffer(b"0/", np.uint8), width)
+    chars = np.frombuffer(b"0/" * width, np.uint8, width)
     return np.where(np.arange(width) < 2 * depth[:, None] - 1, chars, 0).view(f"S{width}").ravel()
 
 
@@ -417,15 +252,7 @@ def _cmd_gibbs(args) -> Document:
     tail = repulsion_tail(states, center, grid)
     meta = {"n": n, "alpha": args.alpha, "sweeps": args.sweeps,
             "burnin": args.burnin, "thin": args.thin, "chains": chains}
-    if args.out_chain is not None:
-        # chain-major rows, indexed block by block; the chain column only when there are several
-        columns = {"chain": lambda i: i // (kept * n),
-                   "sweep": lambda i: args.burnin + (i // n % kept + 1) * args.thin,
-                   "coordinate": lambda i: i % n + 1, "value": states.ravel()}
-        if chains == 1:
-            del columns["chain"]
-        _emit(_csv_chunks(args, meta, columns), args.out_chain)
-    return {
+    payload = {
         **meta,
         "retained": chains * kept,
         "center_coordinate": center,
@@ -433,6 +260,15 @@ def _cmd_gibbs(args) -> Document:
         "ess": tail.ess,
         "tail": [{"x": p.x, "p_hat": p.p_hat, "stderr": p.stderr} for p in tail.points],
     }
+    if args.out_chain is not None:
+        # chain-major rows, indexed block by block; the chain column only when there are several
+        columns = {"chain": lambda i: i // (kept * n),
+                   "sweep": lambda i: args.burnin + (i // n % kept + 1) * args.thin,
+                   "coordinate": lambda i: i % n + 1, "value": states.ravel()}
+        if chains == 1:
+            del columns["chain"]
+        payload["out_chain"] = meta, columns
+    return payload
 
 
 def _cmd_survival(args) -> Document:
@@ -586,12 +422,13 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        doc = args.func(args)
-        if isinstance(doc, dict):
-            chunks = [_json_text(_summary(args, doc)), "\n"]
-        else:
-            chunks = _csv_chunks(args, *doc)
-        _emit(chunks, args.out)
+        doc, header = args.func(args), _summary(args)
+        writes = [(doc, args.out)]
+        if isinstance(doc, dict) and "out_chain" in doc:  # the chain goes first
+            writes.insert(0, (doc.pop("out_chain"), args.out_chain))
+        for doc, out in writes:
+            _emit(textio.json_chunks(header, doc) if isinstance(doc, dict)
+                  else textio.csv_chunks({**header, **doc[0]}, doc[1]), out)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,7 +6,7 @@ appends a label in 0..d-2 (the remaining edge of a non-root vertex points back
 toward the root).  Addresses are stable across radii, so balls of different
 radii share coordinates, and serialize as slash-joined labels ("" for the
 root, "0/1/0" for a depth-3 vertex).  `Ball.address_bytes` builds them as one
-NUL-padded bytes array, a sphere at a time; the CSV writer takes it as is.
+NUL-padded bytes array, a sphere at a time; `textio.csv_chunks` takes it as is.
 """
 
 from __future__ import annotations

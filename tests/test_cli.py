@@ -13,7 +13,7 @@ import pytest
 from scipy.special import ndtr
 
 import treewaves as tw
-from treewaves import cli, levelset
+from treewaves import cli, levelset, textio
 from treewaves.cli import (
     DIRECT_MAX_REPS,
     GIBBS_MAX_VALUES,
@@ -538,10 +538,8 @@ def test_sample_path_csv_contents(tmp_path, monkeypatch):
     assert [r[2] for r in rows[1:]] == [f"{v:.17g}" for v in values]
 
     # rows formatted in blocks of 3 and of 1 give the same bytes
-    import treewaves.cli as cli_mod
-
     for block in (3, 1):
-        monkeypatch.setattr(cli_mod, "CSV_BLOCK_ROWS", block)
+        monkeypatch.setattr(textio, "CSV_BLOCK_ROWS", block)
         other = tmp_path / f"path{block}.csv"
         assert run(["sample-path", "--d", "4", "--lambda", "1.5", "--n", "7", "--seed", "8",
                     "--out", str(other)]) == 0
@@ -551,12 +549,10 @@ def test_sample_path_csv_contents(tmp_path, monkeypatch):
 def test_sample_path_address_column_is_built_block_by_block(tmp_path, monkeypatch):
     # the n^2-character address column is never held whole: with 64 KB blocks the
     # n = 2000 run (a 4 MB file) peaks under 1 MB of Python allocations
-    import treewaves.cli as cli_mod
-
     argv = ["sample-path", "--d", "3", "--lambda", "0.5", "--n", "2000", "--seed", "2"]
     out, small = tmp_path / "path.csv", tmp_path / "small.csv"
     assert run(argv + ["--out", str(out)]) == 0
-    monkeypatch.setattr(cli_mod, "_CSV_BLOCK_BYTES", 1 << 16)
+    monkeypatch.setattr(textio, "_CSV_BLOCK_BYTES", 1 << 16)
     tracemalloc.start()
     try:
         assert run(argv + ["--out", str(small)]) == 0
@@ -571,15 +567,12 @@ def test_sample_path_address_column_is_built_block_by_block(tmp_path, monkeypatc
 
 @pytest.mark.parametrize("block", [1, 3, None])
 def test_csv_rows_match_per_value_formatting(block, monkeypatch):
-    import treewaves.cli as cli_mod
-
     if block is not None:
-        monkeypatch.setattr(cli_mod, "CSV_BLOCK_ROWS", block)
+        monkeypatch.setattr(textio, "CSV_BLOCK_ROWS", block)
     values = np.array([-0.0, 5e-324, 1e-5, 1e16, 1e17, 0.1, -2.5])
     columns = {"vertex": ["", "0", "0/1", "2/0/1", "1", "0/0", "2"],
                "depth": np.array([0, 1, 2, 3, 1, 2, -1]), "value": values}
-    args = argparse.Namespace(d=3, lam=0.0, seed=0)
-    text = "".join(cli_mod._csv_chunks(args, {"n": 7}, columns))
+    text = "".join(textio.csv_chunks({"d": 3, "lambda": 0.0, "seed": 0, "n": 7}, columns))
     body = text.split("vertex,depth,value\n", 1)[1]
     ref = "".join(",".join((a, str(k), f"{v:.17g}")) + "\n"
                   for a, k, v in zip(columns["vertex"], columns["depth"].tolist(), values.tolist()))
@@ -591,20 +584,54 @@ def test_csv_rows_match_per_value_formatting(block, monkeypatch):
 def test_csv_bytes_column_matches_per_value_formatting(rows):
     # an S array with NULs inside its rows, as Ball.address_bytes gives at d >= 11:
     # under _CSV_SMALL_ROWS rows it takes the `%` branch, from 256 rows the numpy one
-    import treewaves.cli as cli_mod
-
     cells = [b"", b"0\0", b"10", b"3\0/0", b"10/9", b"7\0/10\0/1", b"0\0/0"]
     vertex = np.array((cells * rows)[:rows], "S9")
     depth = np.arange(rows) - 3
     values = np.random.default_rng(2).standard_normal(rows) * 10.0 ** (np.arange(rows) % 9 - 4)
-    args = argparse.Namespace(d=11, lam=0.0, seed=0)
-    text = "".join(cli_mod._csv_chunks(args, {"n": rows},
-                                       {"vertex": vertex, "depth": depth, "value": values}))
+    header = {"d": 11, "lambda": 0.0, "seed": 0, "n": rows}
+    text = "".join(textio.csv_chunks(header, {"vertex": vertex, "depth": depth, "value": values}))
     body = text.split("vertex,depth,value\n", 1)[1]
     strings = [a.replace(b"\0", b"").decode() for a in vertex.tolist()]
     ref = "".join("%s,%d,%.17g\n" % row for row in zip(strings, depth.tolist(), values.tolist()))
     assert body == ref
-    assert (rows < cli_mod._CSV_SMALL_ROWS) == (rows == 7)
+    assert (rows < textio._CSV_SMALL_ROWS) == (rows == 7)
+
+
+def test_library_tables_get_the_command_bytes(tmp_path):
+    # csv_chunks, given a header dict and the arrays of a library draw, writes the
+    # bytes of the command that makes the same draw
+    header = {"schema_version": 1, "tool": f"treewaves {tw.__version__}", "d": 3,
+              "lambda": 0.5, "seed": 4}
+    prof = tw.build_profile(tw.SpectralPoint(3, 0.5), 10)
+    ball, chain = tmp_path / "ball.csv", tmp_path / "chain.csv"
+    assert run(["sample-ball", "--d", "3", "--lambda", "0.5", "--radius", "5", "--seed", "4",
+                "--sampler", "recursive", "--out", str(ball)]) == 0
+    sample = tw.sample_ball_recursive(prof, 5, np.random.default_rng(np.random.SeedSequence(4)))
+    columns = {"vertex": sample.ball.address_bytes(), "depth": sample.ball.depth,
+               "value": sample.values}
+    text = "".join(textio.csv_chunks({**header, "sampler": "recursive", "radius": 5}, columns))
+    assert text.encode() == ball.read_bytes()
+
+    assert run(["gibbs", "--d", "3", "--lambda", "0.5", "--alpha", "0", "--n", "6",
+                "--sweeps", "40", "--burnin", "10", "--thin", "3", "--chains", "2", "--seed", "4",
+                "--out", str(tmp_path / "gibbs.json"), "--out-chain", str(chain)]) == 0
+    plan = tw.build_gibbs_plan(prof, 6)
+    states = tw.gibbs_run(plan, 0.0, 40, 10, 3, np.random.default_rng(np.random.SeedSequence(4)), 2)
+    index = np.indices(states.shape).reshape(3, -1)
+    columns = {"chain": index[0], "sweep": 10 + 3 * (index[1] + 1), "coordinate": index[2] + 1,
+               "value": states.ravel()}
+    meta = {"n": 6, "alpha": 0.0, "sweeps": 40, "burnin": 10, "thin": 3, "chains": 2}
+    assert "".join(textio.csv_chunks({**header, **meta}, columns)).encode() == chain.read_bytes()
+
+
+def test_gibbs_writes_its_chain_before_its_summary(tmp_path, capsys):
+    # a chain path that cannot be opened fails the command before --out is written
+    summary = tmp_path / "j.json"
+    assert run(["gibbs", "--d", "3", "--lambda", "0", "--alpha", "0", "--n", "5",
+                "--sweeps", "30", "--burnin", "10", "--thin", "2",
+                "--out-chain", str(tmp_path / "missing" / "c.csv"), "--out", str(summary)]) == 1
+    assert "failure" in capsys.readouterr().err
+    assert not summary.exists()
 
 
 def test_rate_csv(tmp_path):
@@ -773,9 +800,8 @@ def test_subcommands_return_documents_and_write_nothing(command, tmp_path, monke
     else:
         assert isinstance(doc, dict)
     assert capsys.readouterr().out == ""
-    # gibbs writes its --out-chain table itself; --out belongs to run alone
-    written = sorted(p.name for p in tmp_path.iterdir())
-    assert written == (["chain.csv"] if command == "gibbs" else [])
+    # --out and gibbs --out-chain belong to run alone
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
 
 
 def _range_checked_flags() -> list:

@@ -1,0 +1,29 @@
+"""Contracts of the command's output that CI once checked in inline scripts,
+run here with the same commands and checks so that they also fail locally."""
+
+from tree_reference import ball_addresses, to_string
+
+from treewaves.cli import run
+
+
+def test_large_csv_tables_read_back_field_by_field(tmp_path):
+    # every field of a radius-14 ball and of a 32-chain Gibbs table reads back to its
+    # own text, and the ball's vertex column is the plain-Python BFS of its addresses
+    ball, chain = tmp_path / "ball.csv", tmp_path / "chain.csv"
+    assert run(["sample-ball", "--d", "3", "--lambda", "0", "--radius", "14",
+                "--sampler", "recursive", "--out", str(ball)]) == 0
+    assert run(["gibbs", "--d", "3", "--lambda", "0", "--alpha", "0", "--n", "40",
+                "--sweeps", "2000", "--burnin", "100", "--thin", "5", "--chains", "32",
+                "--out", str(tmp_path / "gibbs.json"), "--out-chain", str(chain)]) == 0
+    for path in (ball, chain):
+        header, *rows = [ln.split(",") for ln in path.read_text().splitlines()
+                         if not ln.startswith("#")]
+        assert {len(row) for row in rows} == {len(header)}
+        if path == ball:
+            assert [row[0] for row in rows] == [to_string(a) for a in ball_addresses(3, 14)]
+        for col, fields in zip(header, zip(*rows)):
+            if col == "value":
+                bad = [f for f in fields if "%.17g" % float(f) != f]
+            else:
+                bad = [f for f in fields if col != "vertex" and str(int(f)) != f]
+            assert bad == [], (path.name, col, bad[:10])

@@ -7,7 +7,6 @@ Runs are derandomized, so every run draws the same cases; the `example` rows
 pin the spectral edges at both ends of the degree range.
 """
 
-import argparse
 import contextlib
 import io
 
@@ -19,7 +18,7 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import treewaves as tw  # noqa: E402
-import treewaves.cli as cli  # noqa: E402
+from treewaves import textio  # noqa: E402
 from treewaves.cli import run  # noqa: E402
 
 LOW_EDGE_D3 = (3, -tw.spectral_edge(3))
@@ -129,13 +128,13 @@ def test_survival_reruns_byte_identical(point, n, alpha, method, seed):
 
 
 def _csv_cells(values, fmt):
-    """A one-column `_csv_chunks` body of `values`, repeated to the row count
+    """A one-column `csv_chunks` body of `values`, repeated to the row count
     that takes the numpy block path, and the same rows as per-value `fmt`."""
-    rows = max(len(values), cli._CSV_SMALL_ROWS)
+    rows = max(len(values), textio._CSV_SMALL_ROWS)
     column = [values[i % len(values)] for i in range(rows)]
     if not isinstance(values, list):
         column = np.asarray(column, values.dtype)
-    text = "".join(cli._csv_chunks(argparse.Namespace(d=3, lam=0.0, seed=0), {}, {"x": column}))
+    text = "".join(textio.csv_chunks({"d": 3, "lambda": 0.0, "seed": 0}, {"x": column}))
     return text.split("\nx\n", 1)[1], "".join(fmt % v + "\n" for v in column)
 
 
