@@ -44,6 +44,7 @@ from .levelset import (
     critical_threshold,
     expdec_alpha,
     haggstrom_alpha,
+    search_m,
     site_alpha,
     survival_curve_smc,
     survival_direct,
@@ -306,14 +307,21 @@ def _cmd_threshold(args) -> Document:
     # Search first, so bad inputs cost no bound; only [site, union] brackets the search.
     rates: dict[float, float] = {}
     alpha_c = critical_threshold(profile, args.tol, args.m, args.u_max_offset, rates=rates)
+    m_search = search_m(args.m)
+    # the search ran at m_search nodes; the reported rate is the --m rule's, so it
+    # has the bits `rate --alphas=<alpha_c>` prints at the same --m
+    rate = (rates[alpha_c] if m_search == args.m
+            else transfer_rate(profile, alpha_c, args.m, args.u_max_offset))
     bracket = {"haggstrom": haggstrom_alpha(profile), "expdec": expdec_alpha(profile),
                "site": site_alpha(profile), "union": union_alpha(profile)}
     return {
         "alpha_c": alpha_c,
         "bracket": bracket,
-        "rate_at_alpha_c": rates[alpha_c],
+        "rate_at_alpha_c": rate,
+        "rate_gap": abs(rate - rates[alpha_c]),
+        "rate_evals": len(rates),
         "target_rate": 1.0 / (args.d - 1.0),
-        "quadrature": {"m": args.m, "u_max_offset": args.u_max_offset},
+        "quadrature": {"m": args.m, "search_m": m_search, "u_max_offset": args.u_max_offset},
         "tol": args.tol,
     }
 

@@ -673,16 +673,25 @@ def test_threshold_json_keys(tmp_path):
     assert doc["target_rate"] == 0.5
     assert abs(doc["rate_at_alpha_c"] - 0.5) < 0.05
     assert doc["quadrature"]["m"] == 64
+    # the search's own diagnostics: its rule, its evaluations, and its rate's gap to --m's
+    assert doc["quadrature"]["search_m"] == 32
+    prof = tw.build_profile(tw.SpectralPoint(3, 0.0), 2)
+    search_rate = tw.transfer_rate(prof, doc["alpha_c"], 32)
+    assert doc["rate_gap"] == abs(doc["rate_at_alpha_c"] - search_rate)
+    assert 0.0 < doc["rate_gap"] < 1e-12
+    rates = {}
+    assert tw.critical_threshold(prof, 1e-3, rates=rates) == doc["alpha_c"]
+    assert doc["rate_evals"] == len(rates)
 
 
 def _count_rate_levels(monkeypatch) -> list:
-    """Levels of every transfer_rate call, through the library's name and the CLI's."""
+    """(level, m) of every transfer_rate call, through the library's name and the CLI's."""
     levels = []
     rate = levelset.transfer_rate
 
-    def counting_rate(profile, alpha, *args):
-        levels.append(alpha)
-        return rate(profile, alpha, *args)
+    def counting_rate(profile, alpha, m, *args):
+        levels.append((alpha, m))
+        return rate(profile, alpha, m, *args)
 
     monkeypatch.setattr(levelset, "transfer_rate", counting_rate)
     monkeypatch.setattr(cli, "transfer_rate", counting_rate)
@@ -702,6 +711,19 @@ def test_threshold_repeats_no_rate_evaluation(monkeypatch, capsys, d, lam_frac, 
     assert len(set(levels)) == len(levels)
     prof = tw.build_profile(tw.SpectralPoint(d, lam), 2)
     assert doc["rate_at_alpha_c"] == tw.transfer_rate(prof, doc["alpha_c"], 64, 8.0)
+
+
+def test_threshold_at_m16_reuses_the_search_rate(monkeypatch, capsys):
+    # up to --m 32 the search rule is --m itself, so the rate at alpha_c is the search's
+    levels = _count_rate_levels(monkeypatch)
+    assert run(["threshold", "--d", "3", "--lambda", "0", "--m", "16"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(set(levels)) == len(levels) == doc["rate_evals"]
+    assert {m for _, m in levels} == {16}
+    assert doc["quadrature"]["search_m"] == 16
+    assert doc["rate_gap"] == 0.0
+    prof = tw.build_profile(tw.SpectralPoint(3, 0.0), 2)
+    assert doc["rate_at_alpha_c"] == tw.transfer_rate(prof, doc["alpha_c"], 16, 8.0)
 
 
 def test_bounds_json(tmp_path):

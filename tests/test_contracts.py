@@ -1,8 +1,13 @@
 """Contracts of the command's output that CI once checked in inline scripts,
 run here with the same commands and checks so that they also fail locally."""
 
+import re
+
+import pytest
+
 from tree_reference import ball_addresses, to_string
 
+import treewaves as tw
 from treewaves.cli import run
 
 
@@ -27,3 +32,20 @@ def test_large_csv_tables_read_back_field_by_field(tmp_path):
             else:
                 bad = [f for f in fields if col != "vertex" and str(int(f)) != f]
             assert bad == [], (path.name, col, bad[:10])
+
+
+@pytest.mark.parametrize("argv", [
+    ["--d", "3", "--lambda", "0"],
+    ["--d", "3", "--lambda", "0", "--m", "128"],
+    ["--d", "4", f"--lambda={-tw.spectral_edge(4)!r}"],
+], ids=["d3", "d3-m128", "d4-lower-edge"])
+def test_threshold_and_rate_print_the_same_rate_at_alpha_c(capsys, argv):
+    # the rate `threshold` prints at alpha_c is, as text, the `r` that `rate` prints
+    # at the printed alpha_c with the same --m
+    assert run(["threshold", *argv]) == 0
+    doc = capsys.readouterr().out
+    alpha_c, rate = (re.search(rf'^  "{key}": (\S+),$', doc, re.M).group(1)
+                     for key in ("alpha_c", "rate_at_alpha_c"))
+    assert run(["rate", *argv, f"--alphas={alpha_c}"]) == 0
+    row = capsys.readouterr().out.splitlines()[-1]
+    assert row.split(",")[1] == rate, f"alpha_c {alpha_c}: threshold rate {rate}, rate row {row}"

@@ -560,6 +560,31 @@ def test_critical_threshold_rate_evaluations(monkeypatch, d, lam_frac, tol):
     assert rate(prof, ac - 2 * tol) > target > rate(prof, ac + 2 * tol)
 
 
+@pytest.mark.parametrize("tol", [1e-4, 1e-8])
+@pytest.mark.parametrize(
+    "d, lam_frac", [(d, f) for d in (3, 4, 5, 16, 1000) for f in (-0.5, 0.0, 1.0)]
+)
+def test_half_rule_search_matches_a_full_rule_search(d, lam_frac, tol):
+    # the search runs at m / 2 nodes; an m-node search over the same bracket finds
+    # the same root to tol plus the half rule's quadrature error (at most 1e-8)
+    prof = tw.build_profile(tw.SpectralPoint(d, lam_frac * tw.spectral_edge(d)), 2)
+    target = 1.0 / (d - 1.0)
+    ref = brentq(lambda a: tw.transfer_rate(prof, a, 64) - target,
+                 tw.site_alpha(prof), tw.union_alpha(prof), xtol=tol)
+    assert abs(tw.critical_threshold(prof, tol=tol, m=64) - ref) <= tol + 2e-8
+
+
+def test_threshold_search_keeps_at_least_32_nodes():
+    # halving stops at 32 nodes: at d = 3, +edge a 24-node search is 1.4e-5 off
+    rules = [levelset.search_m(m) for m in (16, 24, 32, 40, 63, 64, 128)]
+    assert rules == [16, 24, 32, 32, 32, 32, 64]
+    prof = _profile(3, tw.spectral_edge(3), 2)
+    ref = brentq(lambda a: tw.transfer_rate(prof, a, 64) - 0.5,
+                 tw.site_alpha(prof), tw.union_alpha(prof), xtol=1e-8)
+    for m in (32, 48):
+        assert abs(tw.critical_threshold(prof, tol=1e-8, m=m) - ref) <= 1e-8 + 2e-8
+
+
 @pytest.mark.parametrize("d, lam_frac, tol", [(3, 0.0, 1e-4), (4, -1.0, 1e-8), (16, 1.0, 1e-6)])
 def test_critical_threshold_records_every_rate(monkeypatch, d, lam_frac, tol):
     prof = tw.build_profile(tw.SpectralPoint(d, lam_frac * tw.spectral_edge(d)), 2)
@@ -576,7 +601,7 @@ def test_critical_threshold_records_every_rate(monkeypatch, d, lam_frac, tol):
     ac = tw.critical_threshold(prof, tol=tol, rates=rates)
     assert ac == plain
     assert sorted(rates) == sorted(calls)  # every evaluated level, each once
-    assert all(rates[a] == rate(prof, a) for a in rates)
+    assert all(rates[a] == rate(prof, a, 32) for a in rates)
     assert ac in rates
 
 
@@ -644,7 +669,7 @@ def test_gauss_legendre_nodes_cached_read_only(monkeypatch):
     levelset._gauss_legendre.cache_clear()
     prof = _profile(3, 0.0, 2)
     tw.critical_threshold(prof, tol=1e-4)
-    assert calls == [64]
+    assert calls == [32]
     # a cached call returns the same bits as the first and matches the tensor reference
     levelset._gauss_legendre.cache_clear()
     cold = [tw.transfer_rate(prof, a, 32) for a in (-0.5, 0.5)]
