@@ -23,7 +23,10 @@ never enter each other's conditionals: given the other two classes, the
 members of one class are conditionally independent.  One sweep therefore
 updates the classes k = 0, 1, 2 (mod 3) in turn, each with a single
 vectorized truncated-normal draw, and every block update is an exact Gibbs
-step.
+step.  A class update is one `take`, the stencil sum, the inversion behind
+`truncated_standard` and one `put`, in place on buffers for a bounded group of
+chains, with uniforms drawn a block of sweeps at a time in the order of one
+`truncated_standard` call per class.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError, finite, integer
-from .gaussian import truncated_standard
+from .gaussian import _truncated_inverse
 from .sampler import path_step_table
 from .spectral import CovarianceProfile, repulsion_coefficients
 
@@ -46,6 +49,7 @@ DEFAULT_THIN = 10
 
 # Path offsets of the four stencil coordinates, one per column of the band.
 OFFSETS = np.array([-2, -1, 1, 2])
+UNIFORM_BLOCK = 2**15
 
 
 @dataclass(frozen=True)
@@ -134,30 +138,53 @@ def gibbs_run(
     Returns the retained states as an array of shape (chains, kept, n) with
     kept = retained_sweeps(sweeps, burnin, thin, chains); sweep
     `burnin + i * thin` is the i-th retained state (1-based i).  Every value
-    lies above alpha.
+    lies above alpha.  The generator advances by sweeps * chains * n
+    uniforms, drawn at most max(UNIFORM_BLOCK, chains * n) at a time.
     """
     if rng is None:
         raise ValidationError("gibbs_run requires an explicit random generator")
-    finite("alpha", alpha)
+    level = np.array(finite("alpha", alpha))
     kept = retained_sweeps(sweeps, burnin, thin, chains)
-    n = plan.n
-    sd = np.sqrt(plan.sigma2)
-    # Coordinate k sits in column k + 2 of the zero-padded state; each colour
-    # class carries its columns, its neighbours' columns and their weights.
-    classes = []
-    for colour in range(min(3, n)):
-        ks = np.arange(colour, n, 3)
-        classes.append((ks + 2, ks[:, None] + 2 + OFFSETS, plan.coeffs[ks], sd[ks]))
+    n, sd = plan.n, np.sqrt(plan.sigma2)
     state = np.zeros((chains, n + 4))
     state[:, 2 : n + 2] = max(alpha, 0.0) + 1.0
     out = np.empty((chains, kept, n))
-    for sweep in range(1, sweeps + 1):
-        for cols, nbrs, weights, s in classes:
-            mean = (state[:, nbrs] * weights).sum(axis=2)
-            state[:, cols] = mean + s * truncated_standard((alpha - mean) / s, rng)
-        t, rest = divmod(sweep - burnin, thin)
-        if t > 0 and rest == 0:
-            out[:, t - 1] = state[:, 2 : n + 2]
+    # Chains are independent, so a class updates them at most UNIFORM_BLOCK // n at a time (all
+    # at once in most runs): its flat indices into a group's rows of the padded state, weights and
+    # sd per chain (equal shapes skip the broadcast) and the buffers the classes share stay bounded.
+    group = min(chains, max(1, UNIFORM_BLOCK // n))
+    row_starts = (n + 4) * np.arange(group)[:, None]
+    gathered, buffers = np.empty(4 * group * ((n + 2) // 3)), np.empty((3, group * ((n + 2) // 3)))
+    updates, start = [], 0
+    for colour in range(min(3, n)):
+        ks = np.arange(colour, n, 3)
+        dest = row_starts + ks + 2
+        nbrs = dest[:, :, None] + OFFSETS
+        weights = np.broadcast_to(plan.coeffs[ks], nbrs.shape).copy()
+        s = np.broadcast_to(sd[ks], dest.shape).copy()
+        for lo in range(0, chains, group):
+            m = min(group, chains - lo)
+            part = slice(start + lo * ks.size, start + (lo + m) * ks.size)
+            updates.append((state[lo : lo + m], nbrs[:m], dest[:m], weights[:m], s[:m], part,
+                            gathered[: 4 * m * ks.size].reshape(m, ks.size, 4),
+                            buffers[:, : m * ks.size].reshape(3, m, ks.size)))
+        start += chains * ks.size
+    uniforms = np.empty((min(sweeps, max(1, UNIFORM_BLOCK // (chains * n))), chains * n))
+    for first in range(0, sweeps, len(uniforms)):
+        # log(1 - u), class by class in C order, as one truncated_standard call per class.
+        log_q = rng.random(out=uniforms[: sweeps - first])
+        np.log1p(np.negative(log_q, out=log_q), out=log_q)
+        for sweep, row in enumerate(log_q, first + 1):
+            # The indices are in range, and "clip" spares take a buffered copy of out.
+            for rows, nbrs, dest, weights, s, part, gathered, (mean, z, y) in updates:
+                rows.take(nbrs, out=gathered, mode="clip")
+                np.add.reduce(np.multiply(gathered, weights, out=gathered), axis=2, out=mean)
+                np.divide(np.subtract(mean, level, out=z), s, out=z)
+                _truncated_inverse(z, row[part].reshape(z.shape), out=y)  # draw: mean - s * y
+                rows.put(dest, np.subtract(mean, np.multiply(s, y, out=y), out=y))
+            t, rest = divmod(sweep - burnin, thin)
+            if t > 0 and rest == 0:
+                out[:, t - 1] = state[:, 2 : n + 2]
     return out
 
 

@@ -10,11 +10,11 @@ scale, which stays accurate arbitrarily deep in the tail.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .errors import NumericalError, ValidationError, finite
 from .spectral import CovarianceProfile
@@ -27,7 +27,7 @@ RANK_RTOL = 1e-9
 NEGATIVE_EIGENVALUE_FLOOR = -1e-6
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-_LOG_BELOW_ONE = math.log(np.nextafter(1.0, 0.0))
+_LOG_BELOW_ONE = np.array(math.log(np.nextafter(1.0, 0.0)))
 
 
 def assemble_covariance(profile: CovarianceProfile, vertices: Ball) -> np.ndarray:
@@ -86,12 +86,27 @@ def truncated_standard(a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     log scale keeps the draw accurate however deep a lies in either tail.
     """
     a = np.asarray(a, dtype=float)
-    u = rng.random(a.shape)
-    # u = 0 with a << 0 would give log 1 = 0 and x = -inf; the cap keeps the
-    # argument strictly below 0.
-    log_p = np.minimum(np.log1p(-u) + scipy.special.log_ndtr(-a), _LOG_BELOW_ONE)
-    # u near 0 puts x at a itself, where rounding can land an ulp below a.
-    return np.maximum(-scipy.special.ndtri_exp(log_p), a)
+    return -_truncated_inverse(-a, np.log1p(-rng.random(a.shape)))
+
+
+@functools.cache
+def _special():
+    """scipy.special, imported on first use and then bound once per process."""
+    import scipy.special
+    return scipy.special
+
+
+def _truncated_inverse(z, log_q, out=None):
+    """y = min(ndtri_exp(min(log_q + log_ndtr(z), log(1 - ulp))), z): with log_q =
+    log(1 - u), -y is a standard normal draw above -z.  The one inversion of
+    `truncated_standard` and the Gibbs sweep; with `out` (not z), in place."""
+    special = _special()
+    # u = 0 with z >> 0 would give log 1 = 0 and ndtri_exp(0) = inf; the cap
+    # keeps the argument strictly below 0.
+    y = special.log_ndtr(z, out=out)
+    y = np.minimum(np.add(log_q, y, out=out), _LOG_BELOW_ONE, out=out)
+    # u near 0 puts y at z itself, where rounding can land an ulp above z.
+    return np.minimum(special.ndtri_exp(y, out=out), z, out=out)
 
 
 def orthant_edge_probability(rho: float, alpha: float) -> float:
@@ -110,14 +125,15 @@ def orthant_edge_probability(rho: float, alpha: float) -> float:
     alpha = finite("alpha", alpha)
     if not math.isfinite(rho) or abs(rho) > 1.0:
         raise ValidationError(f"correlation must lie in [-1, 1], got {rho!r}")
+    ndtr = _special().ndtr
     if rho == 1.0:
-        return float(scipy.special.ndtr(-alpha))
+        return float(ndtr(-alpha))
     if rho == -1.0:
-        return max(0.0, 1.0 - 2.0 * float(scipy.special.ndtr(alpha)))
+        return max(0.0, 1.0 - 2.0 * float(ndtr(alpha)))
     s = math.sqrt(1.0 - rho * rho)
 
     def integrand(x: float) -> float:
-        return math.exp(-0.5 * x * x) / _SQRT_2PI * float(scipy.special.ndtr((rho * x - alpha) / s))
+        return math.exp(-0.5 * x * x) / _SQRT_2PI * float(ndtr((rho * x - alpha) / s))
 
     # For |rho| near 1 the inner factor switches on a short scale around
     # x = alpha / rho; splitting there keeps the adaptive rule honest.  Past
@@ -126,6 +142,7 @@ def orthant_edge_probability(rho: float, alpha: float) -> float:
     pieces = [alpha, math.inf]
     if rho != 0.0 and alpha < alpha / rho < max(alpha, 0.0) + 40.0:
         pieces = [alpha, alpha / rho, math.inf]
+    import scipy.integrate
     total = 0.0
     for lo, hi in zip(pieces[:-1], pieces[1:]):
         val, _ = scipy.integrate.quad(integrand, lo, hi, epsabs=1e-12, epsrel=1e-11, limit=200)

@@ -24,8 +24,6 @@ from itertools import repeat
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-import scipy
-from numpy.polynomial.legendre import leggauss
 
 from .errors import NumericalError, ValidationError, finite, integer
 from .gaussian import orthant_edge_probability
@@ -231,6 +229,12 @@ def survival_curve_smc(
     )
 
 
+def leggauss(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's Gauss-Legendre rule on [-1, 1], imported on first use."""
+    from numpy.polynomial import legendre
+    return legendre.leggauss(m)
+
+
 @functools.cache
 def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], built once per m, read-only."""
@@ -363,6 +367,8 @@ def _pair_root(profile: CovarianceProfile, scale: Callable[[float], float]) -> f
     brentq raises ValueError when the ends do not change sign; each level uses
     P(X > a, Y > a) = Q(a) - 2 T(a, sqrt((1 - rho) / (1 + rho))) with Owen's T.
     """
+    import scipy.optimize
+    import scipy.special
     phi1 = profile.require(1)
     target = 2.0 / profile.point.d
     slope = math.sqrt((1.0 - phi1) / (1.0 + phi1))
@@ -398,6 +404,7 @@ def site_alpha(profile: CovarianceProfile) -> float:
     kappa(a) = Q(a) - (d/2) P(X > a, Y > a) < 0 forces an infinite cluster of
     {psi > a}; alpha_s is the root of kappa, by _pair_root.
     """
+    import scipy.special
     return _pair_root(profile, lambda a: float(scipy.special.ndtr(-a)))
 
 
@@ -461,6 +468,7 @@ def critical_threshold(
     if not (tol > 0.0) or not math.isfinite(tol):
         raise ValidationError(f"tol must be > 0, got {tol!r}")
     _check_quadrature(m, u_max_offset)
+    import scipy.optimize
     target = 1.0 / (profile.point.d - 1.0)
     m_search = search_m(m)
 

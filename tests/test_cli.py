@@ -179,7 +179,7 @@ def test_gibbs_without_retained_sweeps_rejected_before_any_sweep(monkeypatch, ca
     def boom(*a, **k):
         raise RuntimeError("sweep ran")
 
-    monkeypatch.setattr(conditioned_mod, "truncated_standard", boom)
+    monkeypatch.setattr(conditioned_mod, "_truncated_inverse", boom)
     argv = ["gibbs", "--d", "3", "--lambda", "0", "--alpha", "0", "--n", "40",
             "--sweeps", "20000", "--burnin", "19995", "--thin", "10", "--chains", "8"]
     assert run(argv) == 2
@@ -776,7 +776,7 @@ def test_invalid_grids_rejected_before_any_work(argv, flag, monkeypatch, capsys)
         raise RuntimeError("work started")
 
     monkeypatch.setattr(cli_mod, "build_profile", boom)
-    monkeypatch.setattr(conditioned_mod, "truncated_standard", boom)
+    monkeypatch.setattr(conditioned_mod, "_truncated_inverse", boom)
     assert run(argv[:1] + ["--d", "3", "--lambda", "0"] + argv[1:]) == 2
     assert flag in capsys.readouterr().err
 

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import treewaves as tw
 from treewaves.errors import NumericalError, ValidationError
 
 from gaussian_reference import conditional
+from gibbs_reference import gibbs_run_per_class
 
 EXACT_CENTER_MEAN_N10 = 0.5010661815344436  # quadrature value, d=3 lam=0 alpha=0
 
@@ -119,7 +121,7 @@ def test_gibbs_run_validation(monkeypatch):
     plan = tw.build_gibbs_plan(_profile(), 5)
     rng = np.random.default_rng(0)
     # every rejection comes before the first sweep draws anything
-    monkeypatch.setattr(conditioned_mod, "truncated_standard", boom)
+    monkeypatch.setattr(conditioned_mod, "_truncated_inverse", boom)
     with pytest.raises(ValidationError):
         tw.gibbs_run(plan, 0.0, 50)  # generator is required
     with pytest.raises(ValidationError):
@@ -133,6 +135,67 @@ def test_gibbs_run_validation(monkeypatch):
     # exactly one thinning interval after burn-in keeps one state
     states = tw.gibbs_run(plan, 0.0, 30, burnin=20, thin=10, rng=rng, chains=2)
     assert states.shape == (2, 1, 5)
+
+
+class _RecordingGenerator:
+    """A generator that records how many uniforms each `random` call asks for."""
+
+    def __init__(self, seed):
+        self.rng, self.sizes = np.random.default_rng(seed), []
+
+    def random(self, size=None, out=None):
+        self.sizes.append(int(np.prod(size if out is None else out.shape)))
+        return self.rng.random(size, out=out)
+
+
+@pytest.mark.parametrize("n, chains", [(2, 1), (7, 5)])
+def test_gibbs_run_draws_uniforms_in_bounded_blocks(n, chains):
+    rng = _RecordingGenerator(2)
+    tw.gibbs_run(tw.build_gibbs_plan(_profile(), n), 0.0, 20000, 19990, 10, rng, chains)
+    assert sum(rng.sizes) == 20000 * chains * n
+    assert max(rng.sizes) <= max(tw.conditioned.UNIFORM_BLOCK, chains * n)
+
+
+def _assert_matches_per_class(plan, alpha, sweeps, burnin, thin, chains):
+    rng, ref_rng, fresh = (np.random.default_rng(plan.n) for _ in range(3))
+    states = tw.gibbs_run(plan, alpha, sweeps, burnin, thin, rng, chains)
+    expected = gibbs_run_per_class(plan, alpha, sweeps, burnin, thin, ref_rng, chains)
+    fresh.random(sweeps * chains * plan.n)  # one uniform per coordinate update
+    assert states.tobytes() == expected.tobytes(), (plan.n, alpha)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state == fresh.bit_generator.state
+
+
+@pytest.mark.parametrize("block", [tw.conditioned.UNIFORM_BLOCK, 50], ids=["block", "small-block"])
+@pytest.mark.parametrize("chains", [1, 32])
+def test_gibbs_run_matches_the_per_class_loop_bit_for_bit(monkeypatch, chains, block):
+    # The blocked, in-place sweep against one truncated_standard call per class.  A 50-value
+    # block ends uniform blocks between retained sweeps and splits 32 chains into groups.
+    monkeypatch.setattr(tw.conditioned, "UNIFORM_BLOCK", block)
+    prof = _profile(4, -1.2)
+    for n, alpha in itertools.product(range(1, 8), (-3.0, 0.0, 2.5, 6.0, 40.0)):
+        _assert_matches_per_class(tw.build_gibbs_plan(prof, n), alpha, 40, 10, 3, chains)
+
+
+@pytest.mark.parametrize("n, chains, sweeps", [(7, 32, 400), (30, 1100, 3), (1, 40000, 2)],
+                         ids=["several-blocks", "over-one-block", "n1-chain-groups"])
+def test_gibbs_run_matches_the_per_class_loop_across_blocks(n, chains, sweeps):
+    _assert_matches_per_class(tw.build_gibbs_plan(_profile(3, 0.5), n), 0.2, sweeps, 1, 1, chains)
+
+
+def test_gibbs_run_memory_beyond_its_arrays_does_not_grow_with_chains():
+    # Past the state, the retained sweeps and one sweep's uniforms, a run holds tables and
+    # buffers for at most UNIFORM_BLOCK chain-coordinates, whatever the chain count.
+    n, chains = 10, 100_000
+    plan = tw.build_gibbs_plan(_profile(), n)
+    tw.gibbs_run(plan, 0.0, 2, 1, 1, np.random.default_rng(0))  # loads scipy.special
+    tracemalloc.start()
+    try:
+        tw.gibbs_run(plan, 0.0, 2, 1, 1, np.random.default_rng(0), chains)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = 8 * chains * ((n + 4) + n + n)
+    assert peak - arrays < 160 * tw.conditioned.UNIFORM_BLOCK, peak - arrays
 
 
 def test_retained_sweeps_names_each_rule():

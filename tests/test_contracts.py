@@ -1,14 +1,22 @@
 """Contracts of the command's output that CI once checked in inline scripts,
 run here with the same commands and checks so that they also fail locally."""
 
+import os
 import re
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from test_readme import _cli_ids, _cli_lines
 from tree_reference import ball_addresses, to_string
 
 import treewaves as tw
 from treewaves.cli import run
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_large_csv_tables_read_back_field_by_field(tmp_path):
@@ -49,3 +57,17 @@ def test_threshold_and_rate_print_the_same_rate_at_alpha_c(capsys, argv):
     assert run(["rate", *argv, f"--alphas={alpha_c}"]) == 0
     row = capsys.readouterr().out.splitlines()[-1]
     assert row.split(",")[1] == rate, f"alpha_c {alpha_c}: threshold rate {rate}, rate row {row}"
+
+
+@pytest.mark.parametrize("line", _cli_lines(), ids=_cli_ids())
+def test_readme_cli_line_raises_no_numerical_warning(line, tmp_path):
+    # the line in a fresh interpreter with RuntimeWarning as an error exits 0
+    # and writes nothing to stderr
+    argv = [str(tmp_path / "chain.csv") if a == "chain.csv" else a
+            for a in shlex.split(line, comments=True)[1:]]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "treewaves",
+                           *argv, "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0 and done.stderr == "", done.stderr[-500:]

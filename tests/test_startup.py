@@ -1,4 +1,5 @@
-"""A fresh process loads only the scipy subpackages its subcommand or sampler calls."""
+"""A fresh process loads only the scipy subpackages its subcommand or sampler calls,
+and no scipy at all until one of them does."""
 
 import os
 import subprocess
@@ -23,6 +24,7 @@ def loaded():
 
 
 assert loaded() == [], loaded()
+assert "scipy" not in sys.modules
 SCIPY_FREE = [
     ["profile", "--d", "3", "--lambda", "0", "--n", "12"],
     ["sample-ball", "--d", "3", "--lambda", "1", "--radius", "2", "--sampler", "recursive"],
@@ -38,6 +40,7 @@ SCIPY_FREE = [
 for i, argv in enumerate(SCIPY_FREE):
     assert cli.run(argv + ["--out", f"{tmp}/out{i}"]) == 0, argv
     assert loaded() == [], (argv, loaded())
+    assert "scipy" not in sys.modules, argv
 
 treewaves.sample_lambda_many(3, 1000, np.random.default_rng(0))
 treewaves.kesten_mckay_cdf(3, 0.5)
