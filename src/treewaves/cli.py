@@ -71,7 +71,7 @@ EIGEN_RESIDUAL_RTOL = 1e-8
 PATH_CSV_MAX_N = 10**4
 PROFILE_MAX_N = 10**6  # phi(n) is exactly 0.0 past n ~ 2100 at d = 3; 10^6 rows take ~10 MB
 PATH_MAX_N = 10**6  # survival and gibbs paths; a Gibbs plan build at 10^6 peaks near 170 MB
-SMC_MAX_PARTICLES = 10**7  # survival --method smc peaks near 55 MB per 10^6 particles
+SMC_MAX_PARTICLES = 10**7  # survival --method smc peaks near 102 MB at 10^6 particles, 615 MB at 10^7
 DIRECT_MAX_REPS = 10**7  # survival --method direct holds under 25 MB per 10^6 reps
 GIBBS_MAX_VALUES = 2 * 10**7  # gibbs state plus retained output, float64; peaks near 290 MB
 RATE_MAX_STEPS = 10**4  # rate --alpha-steps; every level costs two transfer-operator solves

@@ -17,6 +17,7 @@ bracketed below by the site form of Haggstrom's mass-transport criterion
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -40,6 +41,11 @@ _FLOOR = math.sqrt(np.finfo(float).tiny)
 # is m x m and a call costs about m^3 flops: at m = 8192 the iterates alone
 # would take several GB.
 QUADRATURE_M_MAX = 1024
+
+# A step of survival_curve_smc that draws at least this many normals draws them
+# one step ahead on a worker thread.  The hand-off costs 70-100 us a step, which
+# a step of a few thousand normals does not win back.
+_DRAW_AHEAD_MIN = 2**14
 
 # haggstrom_alpha's Owen's-T root must reproduce 2/d under the quadrature.
 _HAGGSTROM_CHECK_ATOL = 1e-9
@@ -178,6 +184,29 @@ def _systematic_pick(alive: np.ndarray, u: np.ndarray, count: np.ndarray) -> np.
     return np.flatnonzero(alive).take(rank)
 
 
+@contextlib.contextmanager
+def _drawn(draw: Callable[[int], None], ahead: bool):
+    """Yields start(k), which runs draw(k) and returns a wait for it.
+
+    With `ahead`, draw(k) runs on one worker thread while the caller goes on;
+    wait() returns once it has run, or re-raises what it raised, and the
+    worker is joined when the block exits.  Otherwise draw(k) runs at once.
+    """
+    if not ahead:
+        def start(k: int) -> Callable[[], None]:
+            draw(k)
+            return _ran
+        yield start
+        return
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(1) as pool:
+        yield lambda k: pool.submit(draw, k).result
+
+
+def _ran() -> None:
+    """The wait for a draw that has already run."""
+
+
 def survival_curve_smc(
     profile: CovarianceProfile,
     n_max: int,
@@ -197,6 +226,11 @@ def survival_curve_smc(
     survivor reads 0 from then on.  The per-step fraction estimator makes every
     batch's prefix product unbiased for P(n); the standard error is the batch
     spread over sqrt(batches).  Nothing is drawn after the particle loop.
+
+    Each step draws its normals, then its uniforms, into one of two buffers.
+    When a step holds at least _DRAW_AHEAD_MIN particles, a worker thread
+    draws step k + 1 while step k is updated and resampled, in the same order
+    from the same generator, so the bits do not depend on the thread.
     """
     particles = integer("particles", particles, 100)
     finite("alpha", alpha)
@@ -204,20 +238,34 @@ def survival_curve_smc(
     steps = path_step_table(profile, n_max)  # checks the path length before any allocation
     nbat = min(batches, particles // 50)
     per = particles // nbat
+    last = len(steps) - 1
     prev, cur = np.zeros((2, nbat, per))
     factors = np.zeros((nbat, len(steps)))
-    # Python floats: numpy scalars would keep `b1 * prev + b2 * cur` from reusing a temporary
-    for k, (b1, b2, var) in enumerate(steps.tolist()):
-        nxt = rng.standard_normal((nbat, per))
-        nxt *= math.sqrt(var)
-        nxt += b1 * prev + b2 * cur
-        alive = nxt > alpha
-        count = np.count_nonzero(alive, axis=1)
-        # a batch with no survivor gives 0.0, and cumprod of factors >= 0 keeps it at 0
-        factors[:, k] = count / per
-        if k < len(steps) - 1:
-            pick = _systematic_pick(alive, rng.random(nbat), count)
-            prev, cur = cur.take(pick), nxt.take(pick)
+    normals = np.empty((2, nbat, per))  # step k's draws sit in row k % 2
+    uniforms = np.empty((2, nbat))
+
+    def draw(k: int) -> None:
+        rng.standard_normal(out=normals[k % 2])
+        if k < last:
+            rng.random(out=uniforms[k % 2])
+
+    with _drawn(draw, nbat * per >= _DRAW_AHEAD_MIN) as start:
+        wait = start(0)
+        # Python floats: numpy scalars would keep `b1 * prev + b2 * cur` from reusing a temporary
+        for k, (b1, b2, var) in enumerate(steps.tolist()):
+            wait()
+            if k < last:  # step k + 1 is drawn while this step runs
+                wait = start(k + 1)
+            nxt = normals[k % 2]
+            nxt *= math.sqrt(var)
+            nxt += b1 * prev + b2 * cur
+            alive = nxt > alpha
+            count = np.count_nonzero(alive, axis=1)
+            # a batch with no survivor gives 0.0, and cumprod of factors >= 0 keeps it at 0
+            factors[:, k] = count / per
+            if k < last:
+                pick = _systematic_pick(alive, uniforms[k % 2], count)
+                prev, cur = cur.take(pick), nxt.take(pick)
     batch_estimates = np.cumprod(factors, axis=1)
     return SurvivalCurve(
         alpha=alpha,
@@ -272,7 +320,8 @@ def transfer_rate(
         is O(m^2): the operator and iterates take about nb + 5 m x m float64
         arrays, nb at most 9 at the default offset (d=3 near lambda = -edge):
         under 8 MB at m=256.  Each power iteration is nb matrix products, m^3
-        flops in all.
+        flops in all.  nb grows with |alpha|, and a level that needs more
+        than m blocks raises ValidationError before any block is built.
     u_max_offset : float
         Domain headroom above the level, finite and positive.  The conditioned
         chain concentrates within O(1) of alpha, so the truncation error
@@ -315,6 +364,11 @@ def transfer_rate(
     delta = centre * (1.0 - b1 - b2)
     span = y[-1] - y[0]
     nb = max(1, math.ceil(abs(b1) * span / (2.0 * sd)))
+    if nb > m:  # at most m blocks hold a node, and the rule is too coarse for the kernel
+        raise ValidationError(
+            f"alpha={float(alpha)!r} needs {nb} kernel blocks, more than the m={m} quadrature "
+            "nodes: the rule cannot resolve the step kernel there; raise m or bring alpha nearer 0"
+        )
     edges = np.r_[0, np.searchsorted(y, y[0] + span * np.arange(1, nb) / nb), m]
     log_w = np.log(w)
     blocks = []

@@ -279,6 +279,14 @@ def test_quadrature_size_over_the_cap_rejected_before_any_nodes(monkeypatch, cap
         assert "quadrature size m" in capsys.readouterr().err
 
 
+def test_rate_rejects_a_level_with_more_kernel_blocks_than_nodes(capsys):
+    # at d = 3, +edge, alpha = -1e9 needs 8.7e8 blocks: exit 2 before any block edge is built
+    for alpha in ("-1e9", "-100"):
+        argv = ["rate", "--d", "3", f"--lambda={tw.spectral_edge(3)!r}", f"--alphas={alpha}"]
+        assert run(argv + ["--m", "64"]) == 2
+        assert f"alpha={float(alpha)!r} needs" in capsys.readouterr().err
+
+
 def test_threshold_search_errors(monkeypatch):
     # --m is checked before the search computes its bracket
     assert run(["threshold", "--d", "3", "--lambda", "0", "--m", "8"]) == 2

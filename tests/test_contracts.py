@@ -1,6 +1,8 @@
-"""Contracts of the command's output that CI once checked in inline scripts,
-run here with the same commands and checks so that they also fail locally."""
+"""Contracts of the command's output and peak memory that CI once checked in
+inline scripts, run here with the same commands and checks so that they also
+fail locally."""
 
+import json
 import os
 import re
 import shlex
@@ -71,3 +73,36 @@ def test_readme_cli_line_raises_no_numerical_warning(line, tmp_path):
                            *argv, "--out", str(tmp_path / "out")],
                           capture_output=True, text=True, env=env, timeout=300)
     assert done.returncode == 0 and done.stderr == "", done.stderr[-500:]
+
+
+# Runs the command after it in a child and writes the child's peak RSS in MB to
+# stderr; a fresh wrapper, so that no earlier child of the test run sets the maximum.
+RSS_WRAPPER = """
+import resource, subprocess, sys
+done = subprocess.run(sys.argv[1:], stdout=subprocess.PIPE, check=True)
+sys.stdout.buffer.write(done.stdout)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024, file=sys.stderr)
+"""
+
+
+def _checked_verify(out):
+    assert json.loads(out)["pass"] is True
+
+
+@pytest.mark.parametrize("argv, ceiling_mb, check", [
+    (["verify", "--d", "3", "--lambda", "0", "--radius", "16", "--reps", "100",
+      "--sampler", "recursive"], 200, _checked_verify),
+    (["sample-path", "--d", "3", "--lambda", "0", "--n", "10000"], 64, None),
+    (["survival", "--d", "3", "--lambda", "0", "--alpha", "0.25", "--n", "50",
+      "--method", "smc", "--particles", "1000000"], 128, None),
+], ids=["verify-radius-16", "sample-path-n-10000", "survival-smc-10^6"])
+def test_command_peak_rss_stays_under_its_ceiling(argv, ceiling_mb, check):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", RSS_WRAPPER, sys.executable, "-m", "treewaves",
+                           *argv], capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr[-500:]
+    if check is not None:
+        check(done.stdout)
+    rss_mb = float(done.stderr.split()[-1])
+    assert rss_mb < ceiling_mb, f"{argv[0]} peaked at {rss_mb:.0f} MB"

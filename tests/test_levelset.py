@@ -1,3 +1,4 @@
+import threading
 import time
 import tracemalloc
 from fractions import Fraction
@@ -273,17 +274,88 @@ def test_smc_path_length_is_checked_before_any_allocation():
     assert tw.survival_curve_smc(prof, np.int64(9), 0.1, 1_000, rng).p_hat.shape == (9,)
 
 
+# Step sizes on both sides of the draw-ahead limit; 17_001 is no multiple of 16.
+SMC_PARTICLES = [1_600, 17_001]
+assert SMC_PARTICLES[0] < levelset._DRAW_AHEAD_MIN <= SMC_PARTICLES[1] // 16 * 16
+
+
+@pytest.mark.parametrize("limit", [None, 0, 2**62], ids=["default", "ahead", "serial"])
+@pytest.mark.parametrize("d", [3, 4, 8])
+def test_smc_drawn_ahead_and_serial_give_the_same_bits(monkeypatch, d, limit):
+    # each loop, forced by the limit or chosen by the step size, against the
+    # reference loop that draws the normals, then the uniforms, of each step
+    if limit is not None:
+        monkeypatch.setattr(levelset, "_DRAW_AHEAD_MIN", limit)
+    prof = _profile(d, 0.5 * tw.spectral_edge(d), 40)
+    for n in (1, 2, 9, 40):
+        for particles in SMC_PARTICLES:
+            rng = np.random.default_rng([d, n, particles])
+            curve = tw.survival_curve_smc(prof, n, 0.4, particles, rng)
+            ref = np.random.default_rng([d, n, particles])
+            expected = _smc_reference(
+                prof, n, 0.4, curve.batches, curve.particles // curve.batches, ref
+            )
+            assert curve.batch_estimates.tobytes() == expected.tobytes(), (n, particles)
+            assert rng.bit_generator.state == ref.bit_generator.state, (n, particles)
+
+
+class _FailingGenerator:
+    """A generator whose normal draw for step `fail_at` raises; it logs every
+    call and the threads that made them."""
+
+    def __init__(self, fail_at):
+        self.rng = np.random.default_rng(31)
+        self.fail_at = fail_at
+        self.calls = []
+        self.threads = set()
+        self.raised = None
+
+    def standard_normal(self, *args, **kwargs):
+        step = self.calls.count("standard_normal")
+        self.calls.append("standard_normal")
+        self.threads.add(threading.get_ident())
+        if step == self.fail_at:
+            self.raised = RuntimeError(f"draw failed at step {step}")
+            raise self.raised
+        return self.rng.standard_normal(*args, **kwargs)
+
+    def random(self, *args, **kwargs):
+        self.calls.append("random")
+        self.threads.add(threading.get_ident())
+        return self.rng.random(*args, **kwargs)
+
+
+@pytest.mark.parametrize("particles", SMC_PARTICLES)
+def test_smc_worker_does_not_outlive_the_call(particles):
+    prof = _profile(3, 0.0, 12)
+    before = threading.active_count()
+    tw.survival_curve_smc(prof, 12, 0.1, particles, np.random.default_rng(30))
+    assert threading.active_count() == before
+    for fail_at in (0, 1, 5, 11):
+        stub = _FailingGenerator(fail_at)
+        with pytest.raises(RuntimeError) as excinfo:
+            tw.survival_curve_smc(prof, 12, 0.1, particles, stub)
+        assert excinfo.value is stub.raised
+        # the failing draw is the last call: nothing draws after it
+        assert stub.calls == ["standard_normal", "random"] * fail_at + ["standard_normal"]
+        # a step below the limit draws on the caller's thread, one above it on the worker
+        assert (stub.threads == {threading.get_ident()}) == (particles < levelset._DRAW_AHEAD_MIN)
+        assert threading.active_count() == before
+
+
 @pytest.mark.parametrize("n", [1, 2, 9])
 def test_smc_draws_exactly_what_it_uses(n):
-    # normals for every step, uniforms to resample before every step but the last
-    rng = np.random.default_rng(29)
-    curve = tw.survival_curve_smc(_profile(), n, 0.1, 1_000, rng, batches=4)
-    ref = np.random.default_rng(29)
-    for k in range(n):
-        ref.standard_normal((curve.batches, curve.particles // curve.batches))
-        if k < n - 1:
-            ref.random(curve.batches)
-    assert rng.bit_generator.state == ref.bit_generator.state
+    # normals for every step, uniforms to resample before every step but the
+    # last, on either side of the draw-ahead limit
+    for particles in (1_000, 20_000):
+        rng = np.random.default_rng(29)
+        curve = tw.survival_curve_smc(_profile(), n, 0.1, particles, rng, batches=4)
+        ref = np.random.default_rng(29)
+        for k in range(n):
+            ref.standard_normal((curve.batches, curve.particles // curve.batches))
+            if k < n - 1:
+                ref.random(curve.batches)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 @pytest.mark.parametrize("u", [0.0, 0.3, 0.999, 1.0 - 2.0**-53])
@@ -377,6 +449,20 @@ def test_transfer_rate_validation():
     for offset in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(ValidationError, match="u_max_offset"):
             tw.transfer_rate(prof, 0.0, u_max_offset=offset)
+
+
+@pytest.mark.parametrize("alpha, blocks", [(-100.0, 94), (-1e5, 86_550), (-1e9, 865_423_560)])
+def test_transfer_rate_rejects_a_level_with_more_kernel_blocks_than_nodes(alpha, blocks):
+    # at d = 3, +edge the blocks grow with |alpha|; none of them is ever built
+    prof = _profile(3, tw.spectral_edge(3), 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=rf"alpha={alpha!r} needs {blocks} .* m=64 "):
+            tw.transfer_rate(prof, alpha, m=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("d", [3, 4, 5, 8, 16])
