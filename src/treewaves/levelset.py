@@ -37,6 +37,12 @@ _POWER_MAX_ITER = 10_000
 _POWER_MIN_ITER = 10
 # Kernel and iterate entries below this become 0: a product of two kept ones is normal.
 _FLOOR = math.sqrt(np.finfo(float).tiny)
+# Bounds on |log E| and |log F| in transfer_rate's kernel blocks.  An exponent
+# carries a rounding error of its size times 2^-53, so the split moves a kernel
+# entry by at most (64 + 500) 2^-53 = 6e-14 relative; and under F <= e^500 every
+# entry of T g above 1e-90 comes from a normal E @ (P g).
+_E_EXP_MAX = 64.0
+_F_EXP_MAX = 500.0
 # Largest quadrature size m that transfer_rate accepts.  Each power iterate
 # is m x m and a call costs about m^3 flops: at m = 8192 the iterates alone
 # would take several GB.
@@ -300,6 +306,21 @@ def _check_quadrature(m: int, u_max_offset: float) -> None:
         raise ValidationError(f"u_max_offset must be finite and > 0, got {u_max_offset!r}")
 
 
+def _block_count(b1: float, b2: float, s2: float, delta: float, y_max: float) -> int:
+    """Fewest of transfer_rate's equal-width blocks that keep log E and log F in range.
+
+    All arguments are magnitudes; the centred nodes lie in [-y_max, y_max].  In
+    nb blocks |t_i| <= tau = b1 y_max / nb, so |log E| <= tau y_max / s2, and
+    |a_j| <= C - tau with C = delta + (b1 + b2) y_max (an outermost block's
+    centre), so |log F| <= (tau C - tau^2 / 2) / s2, which grows with tau up to C.
+    """
+    tau_e = _E_EXP_MAX * s2 / y_max
+    c = delta + (b1 + b2) * y_max
+    room = c * c - 2.0 * _F_EXP_MAX * s2
+    tau_f = 2.0 * _F_EXP_MAX * s2 / (c + math.sqrt(room)) if room > 0.0 else math.inf
+    return max(1, math.ceil(b1 * y_max / min(tau_e, tau_f)))
+
+
 def transfer_rate(
     profile: CovarianceProfile,
     alpha: float,
@@ -317,11 +338,13 @@ def transfer_rate(
         u_max = max(alpha, 0) + u_max_offset.
     m : int
         Gauss-Legendre nodes per axis, from 16 to QUADRATURE_M_MAX.  Memory
-        is O(m^2): the operator and iterates take about nb + 5 m x m float64
-        arrays, nb at most 9 at the default offset (d=3 near lambda = -edge):
-        under 8 MB at m=256.  Each power iteration is nb matrix products, m^3
-        flops in all.  nb grows with |alpha|, and a level that needs more
-        than m blocks raises ValidationError before any block is built.
+        is O(m^2): the operator and iterates take about nb + 6 m x m float64
+        arrays for nb kernel blocks, 4.3 MiB at m=256 and d=3, lambda = +-edge.
+        Each power iteration is nb matrix products, m^3 flops in all.  Over
+        [site_alpha, union_alpha] nb is at most 2 (1 at d >= 4), and it
+        grows with |alpha|.  Apart from the blocks, the rule must resolve
+        the step kernel: a level where |b1| (y_max - y_min) / 2s exceeds m
+        raises ValidationError before any block is built.
     u_max_offset : float
         Domain headroom above the level, finite and positive.  The conditioned
         chain concentrates within O(1) of alpha, so the truncation error
@@ -338,18 +361,21 @@ def transfer_rate(
     The discretized kernel is K[i, j, k] = w_k N(x_k; b1 x_i + b2 x_j, s^2)
     and (T g)[i, j] = sum_k K[i, j, k] g[j, k].  It is never formed.  With
     centred nodes y = x - c, delta = c (1 - b1 - b2), the i axis is cut into
-    blocks of centre eta narrow enough that t_i = b1 (y_i - eta) stays
-    within one s.  Writing a_jk = y_k - b2 y_j - b1 eta + delta, the
-    Gaussian exponent -(a_jk - t_i)^2 / 2s^2 splits exactly into a (j, k)
-    Gaussian P, an (i, k) factor exp(t_i y_k / s^2) and an (i, j) factor,
-    so one block of T g is F * (E @ (P * g).T).  The bounded t_i keep E and
-    F far from overflow.  P is divided by its largest entry over all blocks,
-    exp(shift), so an operator deep in the tail keeps a nonzero iterate; the
-    factor is restored on the returned eigenvalue, and an eigenvalue that
-    then underflows to 0 raises NumericalError.  Entries of P and of each
-    iterate g below _FLOOR = sqrt(tiny) ~ 1.5e-154 are set to 0, so P * g holds
-    no subnormal, whose arithmetic is slow on x86 (at d = 3 it would hold
-    some).  The Gauss-Legendre nodes and weights are built once per m.
+    nb equal-width blocks of centre eta, and t_i = b1 (y_i - eta).  Writing
+    a_jk = y_k - b2 y_j - b1 eta + delta, the Gaussian exponent
+    -(a_jk - t_i)^2 / 2s^2 splits exactly into a (j, k) Gaussian P, an
+    (i, k) factor E = exp(t_i y_k / s^2) and an (i, j) factor
+    F = exp((t_i a_j - t_i^2 / 2) / s^2), so one block of T g is
+    F * (E @ (P * g).T).  nb is the fewest blocks whose bounds on |t_i|,
+    |y_k| and |a_j| keep E within exp(+-64) and F within exp(+-500)
+    (_block_count): far from overflow, and with exponents whose rounding
+    moves the kernel by under 1e-13.  P is divided by its largest entry over
+    all blocks, exp(shift), so an operator deep in the tail keeps a nonzero
+    iterate; the factor is restored on the returned eigenvalue, and an
+    eigenvalue that then underflows to 0 raises NumericalError.  Entries of
+    P and of each iterate g below _FLOOR = sqrt(tiny) ~ 1.5e-154 are set to
+    0, so P * g holds no subnormal, whose arithmetic is slow on x86 (at
+    d = 3 it would hold some).  The Gauss-Legendre nodes and weights are built once per m.
     """
     _check_quadrature(m, u_max_offset)
     finite("alpha", alpha)
@@ -363,12 +389,13 @@ def transfer_rate(
     w = half * weights
     delta = centre * (1.0 - b1 - b2)
     span = y[-1] - y[0]
-    nb = max(1, math.ceil(abs(b1) * span / (2.0 * sd)))
-    if nb > m:  # at most m blocks hold a node, and the rule is too coarse for the kernel
+    need = max(1, math.ceil(abs(b1) * span / (2.0 * sd)))
+    if need > m:  # the nodes are too sparse for the step kernel
         raise ValidationError(
-            f"alpha={float(alpha)!r} needs {nb} kernel blocks, more than the m={m} quadrature "
+            f"alpha={float(alpha)!r} needs {need} kernel blocks, more than the m={m} quadrature "
             "nodes: the rule cannot resolve the step kernel there; raise m or bring alpha nearer 0"
         )
+    nb = _block_count(abs(b1), abs(b2), s2, abs(delta), y[-1])
     edges = np.r_[0, np.searchsorted(y, y[0] + span * np.arange(1, nb) / nb), m]
     log_w = np.log(w)
     blocks = []

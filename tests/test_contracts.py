@@ -21,6 +21,22 @@ from treewaves.cli import run
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def _env(**extra):
+    """This environment with the checkout's `src` on PYTHONPATH, plus `extra`."""
+    env = {**os.environ, **extra}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return env
+
+
+def _readme_line_bytes(line, tmp_path, tag, env):
+    """The bytes a README line writes to --out and to its chain CSV, in a fresh process."""
+    out, chain = tmp_path / f"{tag}.out", tmp_path / f"{tag}.csv"
+    argv = [str(chain) if a == "chain.csv" else a for a in shlex.split(line, comments=True)[1:]]
+    subprocess.run([sys.executable, "-m", "treewaves", *argv, "--out", str(out)],
+                   env=env, check=True, timeout=300)
+    return [p.read_bytes() for p in (out, chain) if p.exists()]
+
+
 def test_large_csv_tables_read_back_field_by_field(tmp_path):
     # every field of a radius-14 ball and of a 32-chain Gibbs table reads back to its
     # own text, and the ball's vertex column is the plain-Python BFS of its addresses
@@ -67,12 +83,35 @@ def test_readme_cli_line_raises_no_numerical_warning(line, tmp_path):
     # and writes nothing to stderr
     argv = [str(tmp_path / "chain.csv") if a == "chain.csv" else a
             for a in shlex.split(line, comments=True)[1:]]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "treewaves",
                            *argv, "--out", str(tmp_path / "out")],
-                          capture_output=True, text=True, env=env, timeout=300)
+                          capture_output=True, text=True, env=_env(), timeout=300)
     assert done.returncode == 0 and done.stderr == "", done.stderr[-500:]
+
+
+@pytest.mark.parametrize("line", _cli_lines(), ids=_cli_ids())
+def test_readme_cli_output_does_not_depend_on_the_hash_seed(line, tmp_path):
+    one, two = (_readme_line_bytes(line, tmp_path, seed, _env(PYTHONHASHSEED=seed))
+                for seed in ("1", "2"))
+    assert one == two
+
+
+# The README lines that never call the dense sampler's eigendecomposition, whose
+# bits may follow the BLAS thread count.
+OFF_DENSE = [(line.replace("--sampler both", "--sampler recursive"), name)
+             for line, name in zip(_cli_lines(), _cli_ids())
+             if line.split()[1] in ("sample-ball", "verify", "survival", "gibbs")]
+
+
+def test_five_readme_lines_run_off_the_dense_sampler():
+    assert len(OFF_DENSE) == 5 and not any("dense" in line for line, _ in OFF_DENSE)
+
+
+@pytest.mark.parametrize("line", [line for line, _ in OFF_DENSE], ids=[n for _, n in OFF_DENSE])
+def test_recursive_and_path_output_does_not_depend_on_the_blas_thread_count(line, tmp_path):
+    one, two = (_readme_line_bytes(line, tmp_path, threads, _env(OPENBLAS_NUM_THREADS=threads))
+                for threads in ("1", "2"))
+    assert one == two
 
 
 # Runs the command after it in a child and writes the child's peak RSS in MB to
@@ -97,10 +136,8 @@ def _checked_verify(out):
       "--method", "smc", "--particles", "1000000"], 128, None),
 ], ids=["verify-radius-16", "sample-path-n-10000", "survival-smc-10^6"])
 def test_command_peak_rss_stays_under_its_ceiling(argv, ceiling_mb, check):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", RSS_WRAPPER, sys.executable, "-m", "treewaves",
-                           *argv], capture_output=True, text=True, env=env, timeout=300)
+                           *argv], capture_output=True, text=True, env=_env(), timeout=300)
     assert done.returncode == 0, done.stderr[-500:]
     if check is not None:
         check(done.stdout)

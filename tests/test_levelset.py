@@ -453,7 +453,7 @@ def test_transfer_rate_validation():
 
 @pytest.mark.parametrize("alpha, blocks", [(-100.0, 94), (-1e5, 86_550), (-1e9, 865_423_560)])
 def test_transfer_rate_rejects_a_level_with_more_kernel_blocks_than_nodes(alpha, blocks):
-    # at d = 3, +edge the blocks grow with |alpha|; none of them is ever built
+    # at d = 3, +edge the resolution count grows with |alpha|; no block is ever built
     prof = _profile(3, tw.spectral_edge(3), 2)
     tracemalloc.start()
     try:
@@ -494,18 +494,18 @@ def test_transfer_rate_collapses_at_lower_edge(d):
         tw.transfer_rate(prof, tw.expdec_alpha(prof) + 1.0)
 
 
-# Rates recorded before the kernel floored its sub-1.5e-154 entries to 0, at
-# d = 3, where the step s.d. is 0.29 and the unfloored kernel and iterate hold
+# Rates of the same kernel blocks with the sub-1.5e-154 floor removed, at d = 3,
+# where the step s.d. is 0.29 and the unfloored kernel and iterate hold
 # subnormal doubles: (lambda/edge, alpha, m, repr of the rate).
 PINNED_D3_RATES = [
-    (-1.0, -1.9674215658616867, 64, "0.986670041300001"),
+    (-1.0, -1.9674215658616867, 64, "0.9866700413000012"),
     (-1.0, -1.9674215658616867, 128, "0.9866700293661786"),
-    (1.0, -1.5615619635848215, 64, "0.984891120327947"),
+    (1.0, -1.5615619635848215, 64, "0.9848911203279475"),
     (1.0, -1.5615619635848215, 128, "0.9848911203279402"),
-    (-1.0, -0.17209, 64, "0.4999980614773923"),
+    (-1.0, -0.17209, 64, "0.49999806147739306"),
     (-1.0, -0.17209, 128, "0.4999980614774357"),
-    (1.0, 2.8341, 64, "0.4999997867482618"),
-    (1.0, 2.8341, 128, "0.49999978674826373"),
+    (1.0, 2.8341, 64, "0.49999978674826173"),
+    (1.0, 2.8341, 128, "0.4999997867482636"),
     (-1.0, 3.5, 64, "3.0675934287766005e-274"),  # deep tail
 ]
 
@@ -529,6 +529,32 @@ def test_transfer_rate_memory_is_quadratic_in_m():
         tracemalloc.stop()
     assert peak < 32 * 2**20  # an m^3 float64 tensor alone is 128 MiB here
     assert abs(tw.transfer_rate(prof, 0.25, m=512) - r256) <= 1e-9
+
+
+@pytest.mark.parametrize("frac", [-1.0, 1.0])
+@pytest.mark.parametrize("alpha", [-0.5, 0.36])
+def test_transfer_rate_memory_at_d3_edges(frac, alpha):
+    # d = 3 at +-edge has the narrowest step kernel, and the call still holds
+    # only a few m x m arrays (0.5 MiB each here) for its one or two blocks
+    prof = _profile(3, frac * tw.spectral_edge(3), 2)
+    tracemalloc.start()
+    try:
+        tw.transfer_rate(prof, alpha, m=256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("frac", [-1.0, 1.0])
+@pytest.mark.parametrize("alpha", [-20.0, -60.0, -100.0])
+def test_transfer_rate_far_below_zero_matches_tensor_reference(frac, alpha):
+    # far below 0 the exponents of the kernel factors E and F grow with |alpha|;
+    # the block count must keep exp finite (an overflow makes the iterate collapse)
+    prof = _profile(3, frac * tw.spectral_edge(3), 2)
+    ref = transfer_rate_tensor(prof, alpha, 128)
+    assert tw.transfer_rate(prof, alpha, 128) == pytest.approx(ref, rel=1e-11, abs=0.0)
 
 
 def test_bracket_endpoints_frozen():
