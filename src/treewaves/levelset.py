@@ -34,7 +34,6 @@ from .spectral import CovarianceProfile
 # Power iteration control for the transfer operator.
 _POWER_RTOL = 1e-10
 _POWER_MAX_ITER = 10_000
-_POWER_MIN_ITER = 10
 # Kernel and iterate entries below this become 0: a product of two kept ones is normal.
 _FLOOR = math.sqrt(np.finfo(float).tiny)
 # Bounds on |log E| and |log F| in transfer_rate's kernel blocks.  An exponent
@@ -338,8 +337,8 @@ def transfer_rate(
         u_max = max(alpha, 0) + u_max_offset.
     m : int
         Gauss-Legendre nodes per axis, from 16 to QUADRATURE_M_MAX.  Memory
-        is O(m^2): the operator and iterates take about nb + 6 m x m float64
-        arrays for nb kernel blocks, 4.3 MiB at m=256 and d=3, lambda = +-edge.
+        is O(m^2): the power loop holds nb + 6 m x m float64 arrays for nb
+        kernel blocks (with D and a work array), 4.1 MiB at m=256, d=3, +-edge.
         Each power iteration is nb matrix products, m^3 flops in all.  Over
         [site_alpha, union_alpha] nb is at most 2 (1 at d >= 4), and it
         grows with |alpha|.  Apart from the blocks, the rule must resolve
@@ -354,7 +353,7 @@ def transfer_rate(
     -------
     float
         Leading eigenvalue of the discretized operator, found by power
-        iteration on the positive cone to relative tolerance 1e-10.
+        iteration on the positive cone to relative tolerance 1e-10 (Notes).
 
     Notes
     -----
@@ -376,6 +375,15 @@ def transfer_rate(
     P and of each iterate g below _FLOOR = sqrt(tiny) ~ 1.5e-154 are set to
     0, so P * g holds no subnormal, whose arithmetic is slow on x86 (at
     d = 3 it would hold some).  The Gauss-Legendre nodes and weights are built once per m.
+
+    The path's law is reversible: with pi(x, y) ~ exp(-((1 - b1^2)(x^2 + y^2)
+    - 2 b2 (1 + b1) x y) / 2s^2), pi(x, y) N(z; b1 x + b2 y, s^2) is symmetric
+    under x <-> z, so for D[i, j] = pi(x_i, x_j) w_i w_j the left Perron vector
+    of T is D * h.T, h the right one.  w (T g) w, for g of unit mass w g w,
+    estimates the rate until it moves by at most sqrt(1e-10); then the
+    two-sided quotient sum D g.T (T g) / sum D g.T g, whose error is squared,
+    does until it moves by at most 1e-10 twice running.  Its sums are einsum,
+    not BLAS dot, so the bits do not follow the BLAS thread count.
     """
     _check_quadrature(m, u_max_offset)
     finite("alpha", alpha)
@@ -410,30 +418,48 @@ def transfer_rate(
         e = np.exp(np.outer(t, y) / s2)
         f = np.exp((np.outer(t, a_j) - 0.5 * (t * t)[:, None]) / s2)
         blocks.append((slice(lo, hi), log_p, e, f / (sd * math.sqrt(2.0 * math.pi))))
+    del a, f  # the last block's scratch, up to two m x m arrays
     shift = max(float(log_p.max()) for _, log_p, _, _ in blocks)
     for _, log_p, _, _ in blocks:  # in place: each log P becomes P exp(-shift)
         log_p -= shift
         np.exp(log_p, out=log_p)
         log_p[log_p < _FLOOR] = 0.0
-    # From the second step on, g has unit weighted mass w g w, so w (T g) w
-    # estimates the eigenvalue; the first estimate is never compared.
+    x = centre + y  # D = pi w w (Notes), scaled to a largest entry of 1
+    v = log_w - (1.0 - b1 * b1) * x * x / (2.0 * s2)
+    d = np.outer(x, x * (b2 * (1.0 + b1) / s2))
+    d += v[:, None]
+    d += v[None, :]
+    d -= d.max()
+    np.exp(d, out=d)
+    d[d < _FLOOR] = 0.0
     g = np.ones((m, m))
     h = np.empty((m, m))
-    prev_ray = math.inf
+    work = np.empty((m, m))
+    prev_ray = prev_q = math.inf
+    quotient = False
     hits = 0
-    for it in range(_POWER_MAX_ITER):
+    for _ in range(_POWER_MAX_ITER):
         for sl, p, e, f in blocks:
-            h[sl] = f * (e @ (p * g).T)
+            np.multiply(p, g, out=work)
+            np.matmul(e, work.T, out=h[sl])
+            h[sl] *= f
         ray = float(w @ h @ w)
         if not (ray > 0.0 and math.isfinite(ray)):
             raise NumericalError("transfer operator iterate collapsed to zero")
-        close = it >= _POWER_MIN_ITER and abs(ray - prev_ray) <= _POWER_RTOL * ray
-        hits = hits + 1 if close else 0
-        if hits >= 2:
-            rate = math.exp(shift + math.log(ray))
-            if rate == 0.0:
+        quotient = quotient or abs(ray - prev_ray) <= math.sqrt(_POWER_RTOL) * ray
+        if quotient:
+            np.multiply(d, g.T, out=work)
+            num, den = (float(np.einsum("ij,ij->", work, it)) for it in (h, g))
+            if not (num > 0.0 and den > 0.0 and math.isfinite(den)):
                 raise NumericalError("transfer operator iterate collapsed to zero")
-            return rate
+            q = num / den
+            hits = hits + 1 if abs(q - prev_q) <= _POWER_RTOL * q else 0
+            if hits >= 2:
+                rate = math.exp(shift + math.log(q))
+                if rate == 0.0:
+                    raise NumericalError("transfer operator iterate collapsed to zero")
+                return rate
+            prev_q = q
         prev_ray = ray
         np.divide(h, ray, out=g)
         g[g < _FLOOR] = 0.0
@@ -535,7 +561,7 @@ def critical_threshold(
     u_max_offset are checked before the bracket is computed.
 
     The search runs at half the rule, search_m(m) = min(m, max(32, m // 2))
-    nodes; at m = 64 a call costs 0.4-0.6 of an m-node call.  So the root is
+    nodes; at m = 64 a call costs 0.44-0.52 of an m-node call.  So the root is
     accurate to tol plus the half rule's quadrature error, at most 1e-8: at
     m = 64 it lies within 9.6e-9 of an m-node search's root on d in
     {3, 4, 5, 8, 16, 100, 1000} x lambda/edge in {-1, -0.95, -0.5, 0, 0.5, 1}

@@ -107,7 +107,14 @@ def test_five_readme_lines_run_off_the_dense_sampler():
     assert len(OFF_DENSE) == 5 and not any("dense" in line for line, _ in OFF_DENSE)
 
 
-@pytest.mark.parametrize("line", [line for line, _ in OFF_DENSE], ids=[n for _, n in OFF_DENSE])
+# Lines whose rates come from transfer_rate at m = 256 and 512, where matmul
+# runs on more than one BLAS thread when it has them.
+TRANSFER = [("treewaves rate --d 3 --lambda 0 --alphas=-0.5,0,0.5 --m 256", "rate-m256"),
+            ("treewaves threshold --d 3 --lambda 0 --m 512", "threshold-m512")]
+
+
+@pytest.mark.parametrize("line", [line for line, _ in OFF_DENSE + TRANSFER],
+                         ids=[n for _, n in OFF_DENSE + TRANSFER])
 def test_recursive_and_path_output_does_not_depend_on_the_blas_thread_count(line, tmp_path):
     one, two = (_readme_line_bytes(line, tmp_path, threads, _env(OPENBLAS_NUM_THREADS=threads))
                 for threads in ("1", "2"))

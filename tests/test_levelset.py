@@ -13,7 +13,7 @@ import treewaves as tw
 from treewaves import levelset
 from treewaves.errors import NumericalError, ValidationError
 
-from transfer_reference import transfer_rate_tensor
+from transfer_reference import transfer_rate_tensor, transfer_tensor
 from tree_reference import address_index, ball_addresses
 
 HAGGSTROM_D3_L0 = -0.90209418401443608  # root of the degree-weighted pair equation
@@ -487,6 +487,35 @@ def test_transfer_rate_matches_tensor_reference(d):
                         assert got == pytest.approx(ref, rel=1e-11, abs=0.0)
 
 
+def test_transfer_rate_and_left_perron_vector_match_a_dense_eigensolver():
+    # the m^2 x m^2 pair matrix of the tensor, M[(i, j), (j, k)] = K[i, j, k], at
+    # m = 16: its largest eigenvalue is the rate, and for its right Perron vector
+    # h, D * h.T is a left eigenvector (the time reversal of the path).  It is
+    # checked by its residual, not against LAPACK's left vector, whose own
+    # residual is 1.6e-6 at d = 3, -edge, site_alpha (2e-15 for D * h.T).  The
+    # levels are the lower half of [site, union]: near union_alpha at d = 3,
+    # -edge the rate is 1e-180, below what LAPACK resolves next to O(1) entries.
+    m = 16
+    idx = np.arange(m)
+    for d in (3, 4, 8):
+        for frac in (-1.0, 0.0, 1.0):
+            prof = _profile(d, frac * tw.spectral_edge(d), 2)
+            lo, hi = tw.site_alpha(prof), tw.union_alpha(prof)
+            for alpha in lo + (hi - lo) * np.array([0.0, 0.25, 0.5]):
+                kmat, _, dmat = transfer_tensor(prof, alpha, m)
+                pair = np.zeros((m, m, m, m))
+                pair[:, idx, idx, :] = kmat
+                pair = pair.reshape(m * m, m * m)
+                vals, right = np.linalg.eig(pair)
+                top = np.argmax(vals.real)
+                rate = vals[top].real
+                assert vals[top].imag == 0.0
+                assert tw.transfer_rate(prof, alpha, m) == pytest.approx(rate, rel=1e-10)
+                left = (dmat * right[:, top].real.reshape(m, m).T).ravel()
+                residual = abs(left @ pair - rate * left).max()
+                assert residual <= 1e-10 * rate * abs(left).max(), (d, frac, alpha)
+
+
 @pytest.mark.parametrize("d", [3, 4])
 def test_transfer_rate_collapses_at_lower_edge(d):
     prof = _profile(d, -tw.spectral_edge(d), 2)
@@ -498,14 +527,14 @@ def test_transfer_rate_collapses_at_lower_edge(d):
 # where the step s.d. is 0.29 and the unfloored kernel and iterate hold
 # subnormal doubles: (lambda/edge, alpha, m, repr of the rate).
 PINNED_D3_RATES = [
-    (-1.0, -1.9674215658616867, 64, "0.9866700413000012"),
-    (-1.0, -1.9674215658616867, 128, "0.9866700293661786"),
-    (1.0, -1.5615619635848215, 64, "0.9848911203279475"),
-    (1.0, -1.5615619635848215, 128, "0.9848911203279402"),
-    (-1.0, -0.17209, 64, "0.49999806147739306"),
-    (-1.0, -0.17209, 128, "0.4999980614774357"),
-    (1.0, 2.8341, 64, "0.49999978674826173"),
-    (1.0, 2.8341, 128, "0.4999997867482636"),
+    (-1.0, -1.9674215658616867, 64, "0.9866700413354277"),
+    (-1.0, -1.9674215658616867, 128, "0.9866700294016042"),
+    (1.0, -1.5615619635848215, 64, "0.9848911203285554"),
+    (1.0, -1.5615619635848215, 128, "0.9848911203285491"),
+    (-1.0, -0.17209, 64, "0.4999980614791703"),
+    (-1.0, -0.17209, 128, "0.49999806147921294"),
+    (1.0, 2.8341, 64, "0.499999786753401"),
+    (1.0, 2.8341, 128, "0.49999978675340273"),
     (-1.0, 3.5, 64, "3.0675934287766005e-274"),  # deep tail
 ]
 
