@@ -333,19 +333,21 @@ def transfer_rate(
     profile : CovarianceProfile
         Spectral point; only phi(1), phi(2) enter through the step kernel.
     alpha : float
-        Level; the operator acts on (alpha, u_max) with
-        u_max = max(alpha, 0) + u_max_offset.
+        Level; the operator acts on (max(alpha, -u_max_offset), u_max) with
+        u_max = max(alpha, 0) + u_max_offset.  The chain's marginal is N(0, 1),
+        so every alpha below -u_max_offset gives the rate at -u_max_offset.
     m : int
         Gauss-Legendre nodes per axis, from 16 to QUADRATURE_M_MAX.  Memory
         is O(m^2): the power loop holds nb + 6 m x m float64 arrays for nb
         kernel blocks (with D and a work array), 4.1 MiB at m=256, d=3, +-edge.
         Each power iteration is nb matrix products, m^3 flops in all.  Over
-        [site_alpha, union_alpha] nb is at most 2 (1 at d >= 4), and it
-        grows with |alpha|.  Apart from the blocks, the rule must resolve
-        the step kernel: a level where |b1| (y_max - y_min) / 2s exceeds m
-        raises ValidationError before any block is built.
+        [site_alpha, union_alpha] nb is at most 2 (1 at d >= 4), and at most
+        6 for any alpha at the default offset.  Apart from the blocks, the
+        rule must resolve the step kernel: a level where |b1| (y_max - y_min)
+        / 2s exceeds m raises ValidationError before any block is built.  That
+        count is at most ceil(sqrt(3) u_max_offset): only a wide offset has it.
     u_max_offset : float
-        Domain headroom above the level, finite and positive.  The conditioned
+        Domain headroom above the level and below 0, finite and positive.  The
         chain concentrates within O(1) of alpha, so the truncation error
         decays like a Gaussian tail in the offset.
 
@@ -387,12 +389,13 @@ def transfer_rate(
     """
     _check_quadrature(m, u_max_offset)
     finite("alpha", alpha)
+    u_min = max(alpha, -u_max_offset)  # the N(0, 1) chain leaves [-8, 8] w.p. ~ 6e-16 a step
     u_max = max(alpha, 0.0) + u_max_offset
     b1, b2, s2 = path_step_table(profile, 3)[-1]
     sd = math.sqrt(s2)
     nodes, weights = _gauss_legendre(m)
-    half = 0.5 * (u_max - alpha)
-    centre = alpha + half
+    half = 0.5 * (u_max - u_min)
+    centre = u_min + half
     y = half * nodes
     w = half * weights
     delta = centre * (1.0 - b1 - b2)
@@ -401,7 +404,7 @@ def transfer_rate(
     if need > m:  # the nodes are too sparse for the step kernel
         raise ValidationError(
             f"alpha={float(alpha)!r} needs {need} kernel blocks, more than the m={m} quadrature "
-            "nodes: the rule cannot resolve the step kernel there; raise m or bring alpha nearer 0"
+            "nodes: the rule cannot resolve the step kernel there; raise m or lower u_max_offset"
         )
     nb = _block_count(abs(b1), abs(b2), s2, abs(delta), y[-1])
     edges = np.r_[0, np.searchsorted(y, y[0] + span * np.arange(1, nb) / nb), m]

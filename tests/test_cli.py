@@ -2,11 +2,9 @@ import argparse
 import hashlib
 import inspect
 import json
-import os
 import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +24,7 @@ from treewaves.cli import (
     run,
 )
 
+import fresh
 from tree_reference import ball_addresses, to_string
 
 GOLDEN_PROFILE = (
@@ -280,11 +279,21 @@ def test_quadrature_size_over_the_cap_rejected_before_any_nodes(monkeypatch, cap
 
 
 def test_rate_rejects_a_level_with_more_kernel_blocks_than_nodes(capsys):
-    # at d = 3, +edge, alpha = -1e9 needs 8.7e8 blocks: exit 2 before any block edge is built
+    # at d = 3, +edge and --u-max-offset 1e4, alpha = -1e9 needs 17309 blocks: exit 2
+    # before any block edge is built
     for alpha in ("-1e9", "-100"):
         argv = ["rate", "--d", "3", f"--lambda={tw.spectral_edge(3)!r}", f"--alphas={alpha}"]
-        assert run(argv + ["--m", "64"]) == 2
+        assert run(argv + ["--m", "64", "--u-max-offset", "1e4"]) == 2
         assert f"alpha={float(alpha)!r} needs" in capsys.readouterr().err
+
+
+def test_rate_far_below_zero_shows_its_rule_error_in_the_gap(capsys):
+    # the small rule reads r = 1.09 on [-8, 8] at d = 3's edge, and the gap to its
+    # m/2 check rule is at least that error
+    argv = ["rate", "--d", "3", "--lambda", "2.8284271247461903", "--alphas=-20", "--m", "32"]
+    assert run(argv) == 0
+    _, r, gap = map(float, capsys.readouterr().out.splitlines()[-1].split(","))
+    assert r > 1.0 and gap >= abs(r - 1.0)
 
 
 def test_threshold_search_errors(monkeypatch):
@@ -512,18 +521,10 @@ def test_gibbs_chain_csv_builds_its_index_columns_per_block(tmp_path):
     # 5 * 10^6 retained values: whole-table index columns took the peak RSS
     # from 93 MB (no --out-chain) to 289 MB; built per block it stays under 150 MB.
     chain = tmp_path / "chain.csv"
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    peak = ("import resource, subprocess, sys\n"
-            "subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)\n"
-            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
     argv = ["gibbs", "--d", "3", "--lambda", "0", "--alpha", "0", "--n", "1000", "--sweeps", "5100",
             "--burnin", "100", "--thin", "1", "--seed", "1", "--out-chain", str(chain)]
-    proc = subprocess.run([sys.executable, "-c", peak, sys.executable, "-m", "treewaves", *argv],
-                          env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) / 1024 < 150
+    _, rss_mb = fresh.peak_rss_mb(argv)
+    assert rss_mb < 150
     # the rows are the bytes per-value `%` formatting of the whole table wrote
     text = chain.read_bytes()
     rows = text[text.index(b"\nsweep,coordinate,value\n") + 1:]
@@ -746,11 +747,8 @@ def test_bounds_json(tmp_path):
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     argv = [sys.executable, "-m", "treewaves", "bounds", "--d", "3", "--lambda", "0"]
-    proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True,
+    proc = subprocess.run(argv, cwd=tmp_path, env=fresh.env(), capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)

@@ -3,38 +3,16 @@ inline scripts, run here with the same commands and checks so that they also
 fail locally."""
 
 import json
-import os
 import re
-import shlex
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
+import fresh
 from test_readme import _cli_ids, _cli_lines
 from tree_reference import ball_addresses, to_string
 
 import treewaves as tw
 from treewaves.cli import run
-
-SRC = Path(__file__).resolve().parents[1] / "src"
-
-
-def _env(**extra):
-    """This environment with the checkout's `src` on PYTHONPATH, plus `extra`."""
-    env = {**os.environ, **extra}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    return env
-
-
-def _readme_line_bytes(line, tmp_path, tag, env):
-    """The bytes a README line writes to --out and to its chain CSV, in a fresh process."""
-    out, chain = tmp_path / f"{tag}.out", tmp_path / f"{tag}.csv"
-    argv = [str(chain) if a == "chain.csv" else a for a in shlex.split(line, comments=True)[1:]]
-    subprocess.run([sys.executable, "-m", "treewaves", *argv, "--out", str(out)],
-                   env=env, check=True, timeout=300)
-    return [p.read_bytes() for p in (out, chain) if p.exists()]
 
 
 def test_large_csv_tables_read_back_field_by_field(tmp_path):
@@ -78,22 +56,24 @@ def test_threshold_and_rate_print_the_same_rate_at_alpha_c(capsys, argv):
 
 
 @pytest.mark.parametrize("line", _cli_lines(), ids=_cli_ids())
-def test_readme_cli_line_raises_no_numerical_warning(line, tmp_path):
+def test_readme_cli_line_raises_no_numerical_warning(line):
     # the line in a fresh interpreter with RuntimeWarning as an error exits 0
     # and writes nothing to stderr
-    argv = [str(tmp_path / "chain.csv") if a == "chain.csv" else a
-            for a in shlex.split(line, comments=True)[1:]]
-    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "treewaves",
-                           *argv, "--out", str(tmp_path / "out")],
-                          capture_output=True, text=True, env=_env(), timeout=300)
+    done = fresh.line_run(line)
     assert done.returncode == 0 and done.stderr == "", done.stderr[-500:]
 
 
+def _same_bytes(line, **factor):
+    """The line writes the same bytes in its baseline run and with one factor changed."""
+    one, two = fresh.line_run(line), fresh.line_run(line, **factor)
+    for done in (one, two):
+        assert done.returncode == 0, done.stderr[-500:]
+    assert one.outputs == two.outputs
+
+
 @pytest.mark.parametrize("line", _cli_lines(), ids=_cli_ids())
-def test_readme_cli_output_does_not_depend_on_the_hash_seed(line, tmp_path):
-    one, two = (_readme_line_bytes(line, tmp_path, seed, _env(PYTHONHASHSEED=seed))
-                for seed in ("1", "2"))
-    assert one == two
+def test_readme_cli_output_does_not_depend_on_the_hash_seed(line):
+    _same_bytes(line, hash_seed="2")
 
 
 # The README lines that never call the dense sampler's eigendecomposition, whose
@@ -115,20 +95,8 @@ TRANSFER = [("treewaves rate --d 3 --lambda 0 --alphas=-0.5,0,0.5 --m 256", "rat
 
 @pytest.mark.parametrize("line", [line for line, _ in OFF_DENSE + TRANSFER],
                          ids=[n for _, n in OFF_DENSE + TRANSFER])
-def test_recursive_and_path_output_does_not_depend_on_the_blas_thread_count(line, tmp_path):
-    one, two = (_readme_line_bytes(line, tmp_path, threads, _env(OPENBLAS_NUM_THREADS=threads))
-                for threads in ("1", "2"))
-    assert one == two
-
-
-# Runs the command after it in a child and writes the child's peak RSS in MB to
-# stderr; a fresh wrapper, so that no earlier child of the test run sets the maximum.
-RSS_WRAPPER = """
-import resource, subprocess, sys
-done = subprocess.run(sys.argv[1:], stdout=subprocess.PIPE, check=True)
-sys.stdout.buffer.write(done.stdout)
-print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024, file=sys.stderr)
-"""
+def test_recursive_and_path_output_does_not_depend_on_the_blas_thread_count(line):
+    _same_bytes(line, blas_threads="2")
 
 
 def _checked_verify(out):
@@ -143,10 +111,7 @@ def _checked_verify(out):
       "--method", "smc", "--particles", "1000000"], 128, None),
 ], ids=["verify-radius-16", "sample-path-n-10000", "survival-smc-10^6"])
 def test_command_peak_rss_stays_under_its_ceiling(argv, ceiling_mb, check):
-    done = subprocess.run([sys.executable, "-c", RSS_WRAPPER, sys.executable, "-m", "treewaves",
-                           *argv], capture_output=True, text=True, env=_env(), timeout=300)
-    assert done.returncode == 0, done.stderr[-500:]
+    out, rss_mb = fresh.peak_rss_mb(argv)
     if check is not None:
-        check(done.stdout)
-    rss_mb = float(done.stderr.split()[-1])
+        check(out)
     assert rss_mb < ceiling_mb, f"{argv[0]} peaked at {rss_mb:.0f} MB"

@@ -1,12 +1,10 @@
 """A fresh process loads only the scipy subpackages its subcommand or sampler calls,
 and no scipy at all until one of them does."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+import fresh
 
 CHILD = r"""
 import sys
@@ -63,9 +61,7 @@ print("ok")
 
 
 def test_subcommands_load_only_the_scipy_they_call(tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", CHILD, str(tmp_path)], env=env,
+    proc = subprocess.run([sys.executable, "-c", CHILD, str(tmp_path)], env=fresh.env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
@@ -92,9 +88,7 @@ print("ok")
 
 
 def test_invalid_threshold_inputs_exit_2_before_any_scipy():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", INVALID_CHILD], env=env,
+    proc = subprocess.run([sys.executable, "-c", INVALID_CHILD], env=fresh.env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
